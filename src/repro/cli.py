@@ -785,21 +785,21 @@ def _cmd_formats(args: argparse.Namespace) -> int:
             f"{k}={v}" for k, v in sorted(row["default_kwargs"].items())
         ) or "-"
         for key in ("kernel", "planner", "tracer", "tuner", "validator",
-                    "integrity", "serializer", "compiled"):
+                    "integrity", "serializer"):
             out[key] = "yes" if row[key] else "-"
         out["codec"] = row["codec"] or "-"
         printable.append(out)
     from .kernels.backends import jit_available, numba_version
 
     jit_note = (
-        f"Numba {numba_version()} importable — 'compiled' formats JIT"
+        f"Numba {numba_version()} importable — planned formats JIT"
         if jit_available()
-        else "Numba not importable — 'compiled' formats fall back to numpy"
+        else "Numba not importable — planned formats run the numpy executor"
     )
     print(format_table(
         printable,
         ["format", "container", "kernel", "planner", "tracer", "tuner",
-         "validator", "integrity", "serializer", "compiled", "codec",
+         "validator", "integrity", "serializer", "codec",
          "default_kwargs"],
         "Format capability matrix (from repro.registry)",
     ))

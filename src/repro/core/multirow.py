@@ -112,10 +112,14 @@ class MultiRowBROELL(SparseFormat):
         return cls(inner, t, coo.shape)
 
     def fold(self, partial: np.ndarray) -> np.ndarray:
-        """Sum each group of ``t`` sub-row results into the logical row."""
-        if partial.shape != (self._shape[0] * self._t,):
+        """Sum each group of ``t`` sub-row results into the logical row.
+
+        ``partial`` is ``(m * t,)`` or, for a multi-RHS block, ``(m * t, k)``.
+        """
+        m, t = self._shape[0], self._t
+        if partial.ndim not in (1, 2) or partial.shape[0] != m * t:
             raise ValidationError("partial vector has the wrong length")
-        return partial.reshape(self._shape[0], self._t).sum(axis=1)
+        return partial.reshape((m, t) + partial.shape[1:]).sum(axis=1)
 
     def to_coo(self) -> COOMatrix:
         sub = self._inner.to_coo()

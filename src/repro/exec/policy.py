@@ -130,10 +130,10 @@ class ExecutionPolicy:
     compute_backend:
         Executor backend for prepared-plan replay
         (:mod:`repro.kernels.backends`): ``"auto"`` (default) uses the
-        Numba-compiled loops when Numba is importable and the format has
-        them, else interpreted NumPy; ``"numpy"`` forces the interpreted
-        path; ``"jit"`` requests compiled loops and falls back to NumPy
-        (counter-visible, never an exception) when they are unavailable.
+        Numba-compiled executor loop when Numba is importable, else the
+        vectorized NumPy executor; ``"numpy"`` forces the NumPy path;
+        ``"jit"`` requests the compiled loop and falls back to NumPy
+        (counter-visible, never an exception) without Numba.
         Results are bit-identical across backends.
     """
 

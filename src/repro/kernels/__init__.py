@@ -8,14 +8,8 @@ flops and decode instructions a CUDA profiler would report. The timing
 model (:mod:`repro.gpu.timing`) turns those counters into predicted time.
 """
 
-from .backends import (
-    COMPUTE_BACKENDS,
-    JIT_FORMATS,
-    compiled_formats,
-    jit_available,
-    resolve_backend,
-)
-from .base import SpMVKernel, SpMVResult, available_kernels, get_kernel
+from .backends import COMPUTE_BACKENDS, jit_available, resolve_backend
+from .base import SpMVKernel, SpMVResult
 from .dispatch import run_spmm, run_spmv
 from .plan import SpMVPlan, has_planner, plannable_formats, prepare
 from .plancache import PLAN_CACHE, PlanCache
@@ -38,8 +32,6 @@ from .spmv_bro_sell import BROSELLKernel
 __all__ = [
     "SpMVKernel",
     "SpMVResult",
-    "available_kernels",
-    "get_kernel",
     "run_spmv",
     "run_spmm",
     "SpMVPlan",
@@ -49,8 +41,6 @@ __all__ = [
     "PlanCache",
     "PLAN_CACHE",
     "COMPUTE_BACKENDS",
-    "JIT_FORMATS",
-    "compiled_formats",
     "jit_available",
     "resolve_backend",
     "BELLPACKKernel",

@@ -1,61 +1,56 @@
-"""Pluggable executor backends for prepared-plan replay.
+"""Executor backends for the lowered prepared-plan replay.
 
-The prepared-plan engine (:mod:`repro.kernels.plan`) replays cached
-gather/validity/value tables with vectorized NumPy — fast, but every hot
-inner loop (gather + mask + segmented reduce) still round-trips through
-interpreter-dispatched array ops. This module makes the replay loop
-itself pluggable:
+Every prepared plan (:mod:`repro.kernels.plan`) lowers its format to one
+form — row-sorted jagged diagonals plus a permutation — so one executor
+loop runs every plannable format. That loop has two backends:
 
-* ``"numpy"`` — the existing interpreted replay. Always available; the
-  reference point every other backend must match bit-for-bit.
-* ``"jit"`` — the same loops compiled with Numba when it is importable.
-  Numba is **never** a hard dependency: without it the functions below
-  stay plain Python (still bit-identical, used by the test suite to pin
-  the loop order) and :func:`resolve_backend` falls back to ``"numpy"``.
+* ``"numpy"`` — the vectorized executor in :meth:`SpMVPlan._replay
+  <repro.kernels.plan.SpMVPlan._replay>`: one global gather and
+  multiply, one slice add per jagged diagonal, and a strictly
+  sequential ``np.add.accumulate`` for the few longest rows (the tail).
+  Always available.
+* ``"jit"`` — :func:`jagged_spmm` below, compiled with Numba when it is
+  importable. Numba is **never** a hard dependency: without it the
+  function stays plain Python (still bit-identical, used by the test
+  suite to pin the loop order) and :func:`resolve_backend` falls back to
+  ``"numpy"``.
 
 Bit-identity contract
 ---------------------
-Every kernel here performs the *same floating-point operations in the
-same order* as the NumPy replay it replaces: sequential per-column
-accumulation from a zero accumulator for the ELL family, the
-element-ordered ``np.add.at`` scatter for the COO family, zero-initialised
-sequential row sums for CSR and column-sequential accumulation for
-ELLPACK. No ``fastmath`` is ever enabled — reassociation would break the
-contract. ``tests/kernels/test_backends.py`` enforces equality of ``y``
-bits and :class:`KernelCounters` across backends.
+:func:`jagged_spmm` walks the jagged diagonals in order, so every row
+takes its products in the lowered order, one at a time, into a ``+0.0``
+accumulator — the same floating-point operations in the same order as
+the numpy executor (whose tail path is exact for the reasons given in
+:mod:`repro.kernels.plan`). No ``fastmath`` is ever enabled —
+reassociation would break the contract. ``tests/kernels/test_backends.py``
+enforces equality of ``y`` bits and :class:`KernelCounters` across
+backends.
 
 Selection
 ---------
 Callers request a backend through
 :attr:`repro.exec.policy.ExecutionPolicy.compute_backend`
 (``"auto"``/``"numpy"``/``"jit"``); :func:`resolve_backend` maps the
-request to a concrete backend per format. An explicit ``"jit"`` request
-that cannot be honoured (Numba missing, or the format has no compiled
-loops) degrades to ``"numpy"`` and emits an ``exec.backend_fallback``
-counter instead of raising.
+request to a concrete backend. An explicit ``"jit"`` request without an
+importable Numba degrades to ``"numpy"`` and emits an
+``exec.backend_fallback`` counter instead of raising.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Optional
 
-import numpy as np
-
-from .. import registry as _registry
 from ..errors import ValidationError
 from ..telemetry import metrics as _metrics
 
 __all__ = [
     "COMPUTE_BACKENDS",
     "EXECUTOR_BACKENDS",
-    "JIT_FORMATS",
     "jit_available",
     "numba_version",
     "resolve_backend",
-    "supports_jit",
-    "compiled_formats",
-    "csr_column_schedule",
-    "csr_spmv_columns",
+    "jagged_spmm",
+    "jagged_spmm_py",
 ]
 
 #: Backends a policy may request.
@@ -63,18 +58,6 @@ COMPUTE_BACKENDS = ("auto", "numpy", "jit")
 
 #: Concrete backends a plan can execute with (what "auto" resolves to).
 EXECUTOR_BACKENDS = ("numpy", "jit")
-
-#: Formats whose prepared-plan replay has compiled inner loops. The
-#: composite formats (bro_hyb, bro_ell_mt, hyb) compile through their
-#: part plans; everything else gets a fused loop below. The ELL-style
-#: families share loops: sliced_ellpack and sell_c_sigma chunks replay
-#: through ``ellpack_spmv`` (unmasked), ellpack_r and bro_sell through
-#: ``ell_slice_spmv`` (masked), cmrs and coo through ``coo_scatter_spmv``.
-JIT_FORMATS = frozenset(
-    {"bro_ell", "bro_ell_mt", "bro_ell_vc", "bro_coo", "bro_hyb", "bro_sell",
-     "csr", "ellpack", "ellpack_r", "sliced_ellpack", "sell_c_sigma",
-     "coo", "cmrs", "hyb", "bellpack"}
-)
 
 # ----------------------------------------------------------------------
 # Numba availability (optional import, probed once)
@@ -107,25 +90,15 @@ def numba_version() -> Optional[str]:
     return getattr(numba, "__version__", None) if numba is not None else None
 
 
-def supports_jit(format_name: str) -> bool:
-    """Whether the format's plan replay has compiled inner loops."""
-    return format_name in JIT_FORMATS
-
-
-def compiled_formats() -> Tuple[str, ...]:
-    """Format names with a compiled replay path, sorted."""
-    return tuple(sorted(JIT_FORMATS))
-
-
 def resolve_backend(
     requested: str, format_name: Optional[str] = None
 ) -> str:
     """Map a policy's ``compute_backend`` request to a concrete backend.
 
-    ``"auto"`` resolves to ``"jit"`` when Numba is importable and the
-    format has compiled loops, else ``"numpy"``. An explicit ``"jit"``
-    that cannot be honoured falls back to ``"numpy"`` and records an
-    ``exec.backend_fallback`` counter — never an exception, so a policy
+    ``"auto"`` resolves to ``"jit"`` when Numba is importable, else
+    ``"numpy"``. An explicit ``"jit"`` that cannot be honoured falls back
+    to ``"numpy"`` and records an ``exec.backend_fallback`` counter
+    (labelled with ``format_name``) — never an exception, so a policy
     written for a Numba-equipped host runs unchanged everywhere.
     """
     if requested not in COMPUTE_BACKENDS:
@@ -135,151 +108,40 @@ def resolve_backend(
         )
     if requested == "numpy":
         return "numpy"
-    format_ok = format_name is None or supports_jit(format_name)
-    if jit_available() and format_ok:
+    if jit_available():
         return "jit"
     if requested == "jit":
-        reason = "numba-missing" if not jit_available() else "format-unsupported"
-        _metrics.record_backend_fallback(format_name or "*", reason)
+        _metrics.record_backend_fallback(format_name or "*", "numba-missing")
     return "numpy"
 
 
 # ----------------------------------------------------------------------
-# Inner-loop kernels. Plain Python definitions first — these pin the
-# floating-point operation order and are what the local test suite runs —
-# then compiled in place with numba.njit when it is importable.
+# The executor loop. The plain Python definition pins the floating-point
+# operation order and is what Numba-free hosts (and the bit-identity
+# tests) run; it is compiled in place with numba.njit when importable.
 # ----------------------------------------------------------------------
-def _ell_slice_spmv(vals_t, gather_t, valid_t, x, out):
-    # Matches BROELLPlan._replay_numpy: per row, a zero accumulator takes
-    # one masked product per column in column order (invalid lanes add a
-    # literal +0.0, exactly like the np.where path).
-    L, H = vals_t.shape
-    for r in range(H):
-        acc = 0.0
-        for c in range(L):
-            if valid_t[c, r]:
-                acc += vals_t[c, r] * x[gather_t[c, r]]
-            else:
-                acc += 0.0
-        out[r] = acc
+def jagged_spmm_py(off, tail, cols, vals, X, acc):
+    """``acc[s, j] += vals[e] * X[cols[e], j]`` over one lowered part.
 
-
-def _ell_slice_spmm(vals_t, gather_t, valid_t, X, out):
-    L, H = vals_t.shape
-    K = X.shape[1]
-    for r in range(H):
-        for j in range(K):
-            acc = 0.0
-            for c in range(L):
-                if valid_t[c, r]:
-                    acc += vals_t[c, r] * X[gather_t[c, r], j]
-                else:
-                    acc += 0.0
-            out[r, j] = acc
-
-
-def _coo_scatter_spmv(rows, cols, vals, x, y):
-    # Matches np.add.at(y, rows, vals * x[cols]): element-ordered scatter.
-    for i in range(rows.shape[0]):
-        y[rows[i]] += vals[i] * x[cols[i]]
-
-
-def _coo_scatter_spmm(rows, cols, vals, X, Y):
-    K = X.shape[1]
-    for i in range(rows.shape[0]):
-        r = rows[i]
-        v = vals[i]
-        c = cols[i]
-        for j in range(K):
-            Y[r, j] += v * X[c, j]
-
-
-def _csr_spmv(indptr, indices, vals, x, y):
-    # Matches csr_spmv_columns: zero-initialised sequential row sums.
-    m = indptr.shape[0] - 1
-    for r in range(m):
-        acc = 0.0
-        for p in range(indptr[r], indptr[r + 1]):
-            acc += vals[p] * x[indices[p]]
-        y[r] = acc
-
-
-def _csr_spmm(indptr, indices, vals, X, Y):
-    m = indptr.shape[0] - 1
-    K = X.shape[1]
-    for r in range(m):
-        for j in range(K):
-            acc = 0.0
-            for p in range(indptr[r], indptr[r + 1]):
-                acc += vals[p] * X[indices[p], j]
-            Y[r, j] = acc
-
-
-def _ellpack_spmv(col_idx_t, vals_t, x, y):
-    # Matches the CUSP loop: every row accumulates its k column slots in
-    # order, padded slots included (0.0 * x[0], like the real kernel).
-    k, m = vals_t.shape
-    for r in range(m):
-        acc = 0.0
-        for c in range(k):
-            acc += vals_t[c, r] * x[col_idx_t[c, r]]
-        y[r] = acc
-
-
-def _ellpack_spmm(col_idx_t, vals_t, X, Y):
-    k, m = vals_t.shape
-    K = X.shape[1]
-    for r in range(m):
-        for j in range(K):
-            acc = 0.0
-            for c in range(k):
-                acc += vals_t[c, r] * X[col_idx_t[c, r], j]
-            Y[r, j] = acc
-
-
-def _bellpack_spmv(bcol, bvals, x_pad, y_blocks):
-    # Matches BELLPACKMatrix.spmv: each thread (block row b, local row rr)
-    # walks its K block slots left to right, c entry columns each, from a
-    # zero accumulator. Padded slots multiply stored 0.0 by x_pad[0..c-1].
-    mb, K, r, c = bvals.shape
-    for b in range(mb):
-        for rr in range(r):
-            acc = 0.0
-            for k in range(K):
-                base = bcol[b, k] * c
-                for cc in range(c):
-                    acc += bvals[b, k, rr, cc] * x_pad[base + cc]
-            y_blocks[b, rr] = acc
-
-
-def _bellpack_spmm(bcol, bvals, X_pad, Y_blocks):
-    mb, K, r, c = bvals.shape
-    n_rhs = X_pad.shape[1]
-    for b in range(mb):
-        for rr in range(r):
-            for j in range(n_rhs):
-                acc = 0.0
-                for k in range(K):
-                    base = bcol[b, k] * c
-                    for cc in range(c):
-                        acc += bvals[b, k, rr, cc] * X_pad[base + cc, j]
-                Y_blocks[b, rr, j] = acc
-
-
-#: The interpreted (pure-Python) kernel set, kept un-compiled for the
-#: bit-identity tests — Numba or not, these define the loop order.
-PY_KERNELS: Dict[str, Callable] = {
-    "ell_slice_spmv": _ell_slice_spmv,
-    "ell_slice_spmm": _ell_slice_spmm,
-    "coo_scatter_spmv": _coo_scatter_spmv,
-    "coo_scatter_spmm": _coo_scatter_spmm,
-    "csr_spmv": _csr_spmv,
-    "csr_spmm": _csr_spmm,
-    "ellpack_spmv": _ellpack_spmv,
-    "ellpack_spmm": _ellpack_spmm,
-    "bellpack_spmv": _bellpack_spmv,
-    "bellpack_spmm": _bellpack_spmm,
-}
+    ``acc`` is ``(rows, k)`` and starts at 0. Tail row ``r`` takes entries
+    ``tail[r]:tail[r+1]``; diagonal ``d`` spans entries ``off[d]:off[d+1]``
+    and feeds the sorted rows after the ``t = tail.size - 1`` tail rows.
+    """
+    k = X.shape[1]
+    t = tail.shape[0] - 1
+    for d in range(off.shape[0] - 1):
+        first = off[d]
+        for s in range(off[d + 1] - first):
+            c = cols[first + s]
+            v = vals[first + s]
+            for j in range(k):
+                acc[t + s, j] += v * X[c, j]
+    for r in range(t):
+        for e in range(tail[r], tail[r + 1]):
+            c = cols[e]
+            v = vals[e]
+            for j in range(k):
+                acc[r, j] += v * X[c, j]
 
 
 def _compile(fn: Callable) -> Callable:
@@ -290,55 +152,6 @@ def _compile(fn: Callable) -> Callable:
     return numba.njit(cache=False, fastmath=False)(fn)
 
 
-ell_slice_spmv = _compile(_ell_slice_spmv)
-ell_slice_spmm = _compile(_ell_slice_spmm)
-coo_scatter_spmv = _compile(_coo_scatter_spmv)
-coo_scatter_spmm = _compile(_coo_scatter_spmm)
-csr_spmv = _compile(_csr_spmv)
-csr_spmm = _compile(_csr_spmm)
-ellpack_spmv = _compile(_ellpack_spmv)
-ellpack_spmm = _compile(_ellpack_spmm)
-bellpack_spmv = _compile(_bellpack_spmv)
-bellpack_spmm = _compile(_bellpack_spmm)
-
-
-# ----------------------------------------------------------------------
-# CSR column-stepped NumPy replay — the vectorized twin of ``_csr_spmv``.
-# Iterating over row *positions* (all rows' entry 0, then entry 1, ...)
-# keeps every row's sum sequential and zero-initialised, so the compiled
-# loop above reproduces it bit-for-bit; ``np.add.reduceat`` (used by
-# ``CSRMatrix.spmv``) does not — its pairwise blocking reassociates.
-# ----------------------------------------------------------------------
-#: schedule = [(rows_with_len>j, their j-th entry positions), ...]
-CsrSchedule = List[Tuple[np.ndarray, np.ndarray]]
-
-
-def csr_column_schedule(indptr: np.ndarray) -> CsrSchedule:
-    """Precompute the per-position gather schedule for a CSR container."""
-    lengths = np.diff(indptr)
-    schedule: CsrSchedule = []
-    max_len = int(lengths.max()) if lengths.size else 0
-    for j in range(max_len):
-        rows_j = np.flatnonzero(lengths > j)
-        schedule.append((rows_j, indptr[rows_j] + j))
-    return schedule
-
-
-def csr_spmv_columns(
-    indices: np.ndarray,
-    vals: np.ndarray,
-    x: np.ndarray,
-    schedule: CsrSchedule,
-    m: int,
-) -> np.ndarray:
-    """Row-sequential CSR SpMV, vectorized across rows per position."""
-    y = np.zeros(m, dtype=vals.dtype)
-    for rows_j, pos_j in schedule:
-        y[rows_j] += vals[pos_j] * x[indices[pos_j]]
-    return y
-
-
-# Surface the compiled capability on the registry so `repro formats`
-# (and its --json consumers) report per-format compiled support.
-for _fmt in sorted(JIT_FORMATS):
-    _registry.bind_compiled(_fmt)
+#: The executor loop the ``"jit"`` backend calls: compiled when Numba is
+#: importable, else the interpreted :func:`jagged_spmm_py` itself.
+jagged_spmm = _compile(jagged_spmm_py)

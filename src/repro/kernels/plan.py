@@ -1,36 +1,73 @@
-"""Prepared-plan SpMV execution: decode once, replay for every ``x``.
+"""Prepared-plan SpMV execution: decode once, replay one lowered form.
 
 The simulated kernels re-derive everything on every call — the stepwise
 :class:`~repro.bitstream.reader.SliceDecoder` walk, the texture-cache
 model, the transaction counting — even though none of it depends on the
 input vector. Iterative solvers and the benchmark sweeps call SpMV with
 the *same* matrix hundreds of times, so this module separates the two
-phases the way SMASH-style schemes separate setup from multiply:
+phases:
 
-* :func:`prepare` runs the decode exactly once per (matrix, device) using
-  the vectorized :func:`~repro.bitstream.packing.unpack_slice` instead of
-  the per-column decoder loop, and caches everything that is independent
-  of ``x``: per-slice gather indices, validity masks, transposed value
-  blocks, and the *entire* traffic accounting as a
-  :class:`~repro.gpu.counters.KernelCounters` prototype.
-* :meth:`SpMVPlan.execute` replays the plan for one ``x`` — a handful of
-  NumPy gathers/FMAs plus a counter copy.
-* :meth:`SpMVPlan.execute_many` batches a multi-RHS ``X`` of shape
-  ``(n, k)`` through one plan (SpMM), amortizing the single decode across
-  ``k`` vectors.
+* :func:`prepare` runs each format's planner exactly once per (matrix,
+  device). The planner decodes the container (the vectorized
+  :func:`~repro.bitstream.packing.unpack_slice` instead of the
+  per-column decoder loop), computes the format's entire traffic
+  accounting as a :class:`~repro.gpu.counters.KernelCounters` prototype,
+  and *lowers* the format's entries to one or more :class:`LoweredPart`.
+* :meth:`SpMVPlan.execute` replays the lowered parts for one ``x`` and
+  copies the counters; :meth:`SpMVPlan.execute_many` runs the same
+  executor on an ``(n, k)`` block (SpMM) with a trailing ``k`` axis.
+
+The lowered form
+----------------
+On the host every format adds up the same products in row order; the
+formats differ in their storage and traffic, which the counters carry.
+A :class:`LoweredPart` is the pJDS layout (row-sorted jagged diagonals
+plus a permutation, Kreutzer et al.): the non-empty output rows sorted
+by descending entry count, and diagonal ``j`` holding entry ``j`` of
+every row that has one, in the exact order the format's reference kernel
+accumulates them. One executor runs every part:
+
+1. one global gather and multiply, ``p = vals * x[cols]``;
+2. ``ys[:cnt[j]] += p[off[j]:off[j+1]]`` for each diagonal ``j``;
+3. ``y[perm] = ys``.
+
+Composite formats add a fixed combine step and nothing else: ``hyb`` and
+``bro_hyb`` return ``y_ell + y_coo`` over their two parts, ``bro_ell_mt``
+applies :meth:`~repro.core.multirow.MultiRowBROELL.fold` to its one.
+
+A slice add per diagonal stops paying once few rows remain in it, so the
+longest rows — where the sweep stops is read off the row-length
+histogram — are stored whole after the diagonals and each summed on a
+tail path as ``np.add.accumulate(p[row])[-1] + 0.0``.
 
 Equivalence contract
 --------------------
-A plan replay is **bit-identical** to the reference kernel — same ``y``
-to the last ulp and an equal :class:`KernelCounters` record — because the
-replay performs the same floating-point operations in the same order
-(sequential per-column accumulation, the same ``np.where`` masking, the
-same element-ordered ``np.add.at`` scatter) and the counters prototype
-reproduces the reference accounting term by term
-(``symbol_loads == row_stream_symbols`` for a fully-consumed stream, and
-the texture-cache model depends only on the decoded access pattern).
-``tests/kernels/test_plan_equivalence.py`` enforces this for every suite
-matrix, every BRO format and both symbol lengths.
+A replay is **bit-identical** to the reference kernel — same ``y`` bits
+and an equal :class:`KernelCounters` record. Every reference kernel
+sums each row sequentially from a ``+0.0`` accumulator, and the lowered
+form keeps that order; three rules make the rest exact:
+
+* **Masked slots are dropped.** ``bro_*`` and ``ellpack_r`` add a
+  literal ``+0.0`` for a masked-out slot. An accumulator that starts at
+  ``+0.0`` can never be ``-0.0`` (``a + b`` is ``-0.0`` only when both
+  are), and ``acc + 0.0 == acc`` bit for bit for every other value,
+  NaN and infinities included.
+* **Unmasked padding is kept.** ``ellpack``, ``sliced_ellpack``,
+  ``sell_c_sigma``, ``bellpack`` and ``bro_coo``'s padded lanes multiply
+  their stored padding slots, so they stay entries ``(stored col, 0.0)``
+  and ``0.0 * inf -> NaN`` propagates exactly as in the reference. The
+  one exception is BELLPACK's x padding past column ``n``: the kernel
+  multiplies a stored ``0.0`` by a padded ``0.0``, a ``+0.0`` product
+  that is dropped like a masked slot.
+* **The tail is sequential.** ``np.add.accumulate`` adds strictly left
+  to right starting from the first product instead of ``+0.0``; that
+  start differs only when every product so far is ``-0.0``, and the
+  final ``+ 0.0`` turns the resulting ``-0.0`` into the reference's
+  ``+0.0`` while leaving every other value unchanged.
+
+``tests/kernels/test_plan_equivalence.py`` enforces this for every
+suite matrix and plannable format, including x holding ±inf, NaN,
+``-0.0`` and subnormals.
 
 Telemetry
 ---------
@@ -38,16 +75,13 @@ Replays emit the same ``kernel.<format>`` span and per-format
 :func:`~repro.telemetry.metrics.record_kernel` metrics as the reference
 engine (with an ``engine="fast"`` attribute); plan builds emit a
 ``spmv.plan`` span and ``plan.builds`` / ``plan.build_seconds`` counters.
-Texture-cache and bitstream-decode metrics are emitted once at build time
-rather than per call — they are properties of the structure, not the run.
 """
 
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from dataclasses import replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,13 +131,20 @@ from .spmv_sell_c_sigma import sell_counters
 from .spmv_sliced_ell import sliced_ell_counters
 
 __all__ = [
+    "LoweredPart",
     "SpMVPlan",
+    "lower",
     "prepare",
     "register_planner",
     "has_planner",
     "plannable_formats",
     "check_multi_x",
 ]
+
+#: What summing one row whole on the tail path costs, in units of one
+#: diagonal's slice add: a slice, an accumulate and a store against one
+#: in-place add.
+_TAIL_ROW_COST = 2
 
 
 def check_multi_x(matrix: SparseFormat, X: np.ndarray) -> np.ndarray:
@@ -117,23 +158,173 @@ def check_multi_x(matrix: SparseFormat, X: np.ndarray) -> np.ndarray:
     return X
 
 
-class SpMVPlan(ABC):
+# ----------------------------------------------------------------------
+# The lowered form
+# ----------------------------------------------------------------------
+class LoweredPart:
+    """One output of a plan as row-sorted jagged diagonals (pJDS).
+
+    ``m`` is the output length and ``perm`` the output row of each sorted
+    row: the non-empty rows, most entries first, ties in row order. The
+    first ``t = tail.size - 1`` sorted rows are the tail: row ``i``'s
+    entries are ``cols``/``vals[tail[i]:tail[i+1]]``. The other rows form
+    the jagged diagonals: diagonal ``j`` is ``cols``/``vals[off[j]:off[j+1]]``
+    and holds entry ``j`` of sorted rows ``t .. t + off[j+1] - off[j] - 1``.
+    Every row's entries appear in accumulation order. Build one with
+    :func:`lower`.
+    """
+
+    __slots__ = ("m", "perm", "off", "tail", "cols", "vals")
+
+    def __init__(
+        self,
+        m: int,
+        perm: np.ndarray,
+        off: np.ndarray,
+        tail: np.ndarray,
+        cols: np.ndarray,
+        vals: np.ndarray,
+    ) -> None:
+        self.m = m
+        self.perm = perm
+        self.off = off
+        self.tail = tail
+        self.cols = cols
+        self.vals = vals
+
+
+def lower(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, m: int
+) -> LoweredPart:
+    """Lower a format's entries to a :class:`LoweredPart`.
+
+    ``rows``/``cols``/``vals`` list every product output row ``rows[i]``
+    adds up, each row's entries in the order its reference kernel
+    accumulates them (entries of different rows may interleave).
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols, vals = np.asarray(cols), np.asarray(vals)
+    if rows.size and np.any(rows[1:] < rows[:-1]):
+        order = np.argsort(rows, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+    lengths = np.bincount(rows, minlength=m)
+    return _lower_rows(lengths, np.cumsum(lengths) - lengths, cols, vals)
+
+
+def _lower_rows(
+    lengths: np.ndarray, start: np.ndarray, cols: np.ndarray, vals: np.ndarray
+) -> LoweredPart:
+    """:func:`lower` entries stored row by row: row ``r``'s entries are
+    ``cols``/``vals[start[r] : start[r] + lengths[r]]``, in order.
+
+    The diagonal sweep stops at the diagonal ``J`` that minimises
+    ``J + _TAIL_ROW_COST * (rows longer than J)``, read off the row-length
+    histogram; the rows longer than ``J`` become the tail.
+    """
+    perm = np.argsort(-lengths, kind="stable")[: np.count_nonzero(lengths)]
+    sorted_len = lengths[perm]
+    # longer[j] = number of rows with more than j entries, j = 0 .. max.
+    longer = perm.size - np.cumsum(np.bincount(sorted_len, minlength=1))
+    J = int(np.argmin(np.arange(longer.size) + _TAIL_ROW_COST * longer))
+    t = int(longer[J])
+    off = np.zeros(J + 1, dtype=np.intp)
+    np.cumsum(longer[:J] - t, out=off[1:])
+    tail = np.zeros(t + 1, dtype=np.intp)
+    np.cumsum(sorted_len[:t], out=tail[1:])
+    tail += off[-1]
+
+    out_cols = np.empty(int(tail[-1]), dtype=np.intp)
+    out_vals = np.empty(int(tail[-1]), dtype=VALUE_DTYPE)
+    first = start[perm]
+    for j in range(J):  # diagonal j: entry j of each body row
+        src = first[t : t + off[j + 1] - off[j]] + j
+        out_cols[off[j] : off[j + 1]] = cols[src]
+        out_vals[off[j] : off[j + 1]] = vals[src]
+    for i in range(t):  # tail rows are stored whole
+        row = slice(int(first[i]), int(first[i] + sorted_len[i]))
+        out_cols[tail[i] : tail[i + 1]] = cols[row]
+        out_vals[tail[i] : tail[i + 1]] = vals[row]
+    return LoweredPart(lengths.size, perm, off, tail, out_cols, out_vals)
+
+
+#: One block's entries: (row ids, entries per row, cols, vals), each row's
+#: entries contiguous and in accumulation order.
+_Slots = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _block_slots(
+    row_ids: np.ndarray,
+    col_block: np.ndarray,
+    val_block: np.ndarray,
+    keep: Optional[np.ndarray] = None,
+) -> _Slots:
+    """Entries of an ELL-style ``(h, l)`` block, each row's in slot order."""
+    if keep is None:
+        lens = np.full(col_block.shape[0], col_block.shape[1], dtype=np.intp)
+        return row_ids, lens, col_block.reshape(-1), val_block.reshape(-1)
+    return row_ids, keep.sum(axis=1), col_block[keep], val_block[keep]
+
+
+def _lower_slots(slots: List[_Slots], m: int) -> LoweredPart:
+    """:func:`lower` a list of blocks that each hold whole rows."""
+    # An empty block keeps the concatenation defined for empty matrices.
+    slots.append((np.zeros(0, np.intp),) * 3 + (np.zeros(0),))
+    row_ids, lens, cols, vals = (np.concatenate(group) for group in zip(*slots))
+    slots.clear()  # drop the per-block copies before lowering
+    lengths = np.zeros(m, dtype=np.intp)
+    start = np.zeros(m, dtype=np.intp)
+    lengths[row_ids] = lens
+    start[row_ids] = np.cumsum(lens) - lens
+    return _lower_rows(lengths, start, cols, vals)
+
+
+class _Layout:
+    """A part's executor schedule over the plan's concatenated entries."""
+
+    __slots__ = ("rows", "inv", "off", "tail", "runs")
+
+    def __init__(self, part: LoweredPart, base: int) -> None:
+        self.rows = part.perm.size
+        #: sorted position of each output row; empty rows point one past
+        #: the sorted rows, at the accumulator's zero row.
+        self.inv = np.full(part.m, self.rows, dtype=np.intp)
+        self.inv[part.perm] = np.arange(self.rows)
+        #: absolute diagonal and tail-row starts into the plan's entries.
+        self.off = part.off + base
+        self.tail = part.tail + base
+        #: (first entry, diagonals, rows) per run of equally long
+        #: diagonals, which reshape to one (diagonals, rows) block.
+        cnt = np.diff(part.off)
+        starts = np.flatnonzero(np.diff(cnt, prepend=-1))
+        self.runs = [
+            (int(self.off[j]), int(g), int(cnt[j]))
+            for j, g in zip(starts, np.diff(starts, append=cnt.size))
+        ]
+
+
+# ----------------------------------------------------------------------
+# The plan and its executor
+# ----------------------------------------------------------------------
+class SpMVPlan:
     """A prepared, x-independent execution plan for one (matrix, device).
 
     Holds a strong reference to its matrix (so a cached plan can never be
     confused with a new object reusing the same ``id``), the device spec,
-    and a :class:`KernelCounters` prototype that every replay copies.
+    the :class:`KernelCounters` prototype every replay copies, and the
+    lowered parts the executor runs. ``combine`` maps the parts' outputs
+    to ``y``; it defaults to returning the only part's output.
     """
-
-    #: format this plan executes (matches ``SparseFormat.format_name``).
-    format_name: str = ""
 
     def __init__(
         self,
         matrix: SparseFormat,
         device: DeviceSpec,
         counters: KernelCounters,
+        parts: Sequence[LoweredPart],
+        combine: Optional[Callable[[List[np.ndarray]], np.ndarray]] = None,
     ) -> None:
+        if combine is None and len(parts) != 1:
+            raise ValidationError("a plan without combine needs exactly one part")
         self.matrix = matrix
         self.device = device
         self._counters = counters
@@ -141,12 +332,32 @@ class SpMVPlan(ABC):
         #: every replay (the prototype is x-independent, so a warm plan
         #: never re-derives it).
         self._counters_memo: dict = {}
+        self.parts = tuple(parts)
+        self._combine = combine
+        if len(self.parts) == 1:
+            self._cols, self._vals = self.parts[0].cols, self.parts[0].vals
+        else:
+            self._cols = np.concatenate([p.cols for p in self.parts])
+            self._vals = np.concatenate([p.vals for p in self.parts])
+        self._layouts = []
+        base = 0
+        for part in self.parts:
+            end = base + part.cols.size
+            # Parts view the plan's storage rather than keep a copy.
+            part.cols, part.vals = self._cols[base:end], self._vals[base:end]
+            self._layouts.append(_Layout(part, base))
+            base = end
         #: wall-clock seconds the one-time build took (set by prepare()).
         self.build_seconds = 0.0
         #: executor backend replays dispatch to ("numpy" or "jit").
         self.backend = "numpy"
         #: seconds the JIT warm-compile pass took (0.0 on the numpy path).
         self.jit_compile_seconds = 0.0
+
+    @property
+    def format_name(self) -> str:
+        """Format this plan executes (``SparseFormat.format_name``)."""
+        return self.matrix.format_name
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -182,12 +393,8 @@ class SpMVPlan(ABC):
         return replace(proto)
 
     # -- executor backend ----------------------------------------------
-    def _children(self) -> Tuple["SpMVPlan", ...]:
-        """Part plans a composite plan delegates to (backend recursion)."""
-        return ()
-
     def set_backend(self, backend: str) -> None:
-        """Select the executor backend for this plan (and its parts).
+        """Select the executor backend for this plan.
 
         Accepts a *concrete* backend name; resolve policy requests with
         :func:`repro.kernels.backends.resolve_backend` first.
@@ -197,12 +404,10 @@ class SpMVPlan(ABC):
                 f"executor backend must be one of "
                 f"{_backends.EXECUTOR_BACKENDS}, got {backend!r}"
             )
-        for child in self._children():
-            child.set_backend(backend)
         self.backend = backend
 
     def warm_compile(self) -> float:
-        """Trigger JIT compilation of the replay loops on a zeros input.
+        """Trigger JIT compilation of the executor loop on a zeros input.
 
         Called by :func:`prepare` so compilation cost lands in the build
         phase (recorded as ``plan.jit_compile_seconds``), not the first
@@ -213,7 +418,7 @@ class SpMVPlan(ABC):
         t0 = time.perf_counter()
         zeros = np.zeros(self.matrix.shape[1], dtype=VALUE_DTYPE)
         self._replay(zeros)
-        self._replay_many(zeros[:, None])
+        self._replay(zeros[:, None])
         self.jit_compile_seconds = time.perf_counter() - t0
         return self.jit_compile_seconds
 
@@ -239,10 +444,10 @@ class SpMVPlan(ABC):
         tracer = _tracer.get_tracer()
         if tracer is None and not _metrics.collecting():
             return SpMVResult(
-                y=self._replay_many(X), counters=self.counters(k),
+                y=self._replay(X), counters=self.counters(k),
                 device=self.device,
             )
-        return self._instrumented(tracer, lambda: self._replay_many(X), k)
+        return self._instrumented(tracer, lambda: self._replay(X), k)
 
     def _instrumented(
         self, tracer, fn: Callable[[], np.ndarray], k: int
@@ -272,51 +477,47 @@ class SpMVPlan(ABC):
         _metrics.record_kernel(self.format_name, self.device.name, result.counters)
         return result
 
-    # -- format-specific replay -----------------------------------------
-    # The public replay entry points dispatch on the executor backend;
-    # both implementations of each are bit-identical by construction
-    # (same floating-point operations, same order — see
-    # repro.kernels.backends), enforced by tests/kernels/test_backends.py.
-    def _replay(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``y`` for one validated ``x`` on the active backend."""
-        if self.backend == "jit":
-            return self._replay_jit(x)
-        return self._replay_numpy(x)
+    def _replay(self, X: np.ndarray) -> np.ndarray:
+        """The executor: ``y`` for a validated ``x`` (n,) or ``X`` (n, k).
 
-    def _replay_many(self, X: np.ndarray) -> np.ndarray:
-        if self.backend == "jit":
-            return self._replay_many_jit(X)
-        return self._replay_many_numpy(X)
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        """The interpreted (NumPy) replay — every plan has one.
-
-        Not an abstractmethod: plan subclasses that predate the backend
-        layer (or external plugins) may override ``_replay`` directly and
-        opt out of backend dispatch entirely.
+        Both backends perform the same floating-point operations in the
+        same order per row, so they agree bit for bit.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} defines neither _replay_numpy nor a "
-            f"_replay override"
-        )
+        trailing = X.shape[1:]
+        if self.backend == "jit":
+            k = X.shape[1] if X.ndim == 2 else 1
+            X2 = X.reshape(X.shape[0], k)
+        else:
+            p = np.take(X, self._cols, axis=0)
+            np.multiply(self._vals if X.ndim == 1 else self._vals[:, None], p, out=p)
+        ys = []
+        for lay in self._layouts:
+            # Sorted rows: the tail first, then the diagonals' rows, then
+            # one spare zero row that every empty output row reads.
+            if self.backend == "jit":
+                acc = np.zeros((lay.rows + 1, k), dtype=VALUE_DTYPE)
+                _backends.jagged_spmm(
+                    lay.off, lay.tail, self._cols, self._vals, X2, acc
+                )
+                acc = acc.reshape((lay.rows + 1,) + trailing)
+            else:
+                acc = np.zeros((lay.rows + 1,) + trailing, dtype=VALUE_DTYPE)
+                t = lay.tail.size - 1
+                for first, count, rows in lay.runs:
+                    block = p[first : first + count * rows]
+                    dst = acc[t : t + rows]
+                    for diagonal in block.reshape((count, rows) + trailing):
+                        dst += diagonal
+                for i in range(t):
+                    segment = p[lay.tail[i] : lay.tail[i + 1]]
+                    acc[i] = np.add.accumulate(segment)[-1] + 0.0
+            ys.append(np.take(acc, lay.inv, axis=0))
+        return ys[0] if self._combine is None else self._combine(ys)
 
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        # Plans without compiled loops of their own run the numpy replay
-        # (composite plans compile through their _children instead).
-        return self._replay_numpy(x)
 
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        # Generic fallback: one replay per column. Formats whose replay
-        # vectorizes across columns without changing the per-column
-        # floating-point order override this.
-        return np.stack(
-            [self._replay(X[:, j]) for j in range(X.shape[1])], axis=1
-        )
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        # The generic stack dispatches per column, so compiled singles
-        # compose into a bit-identical multi-RHS replay.
-        return self._replay_many_numpy(X)
+def _add_parts(ys: List[np.ndarray]) -> np.ndarray:
+    """Two-launch composite combine: the second part accumulates into the first."""
+    return ys[0] + ys[1]
 
 
 # ----------------------------------------------------------------------
@@ -350,9 +551,9 @@ def prepare(
     """Build an :class:`SpMVPlan` — the one-time decode + accounting pass.
 
     ``backend`` selects the executor the plan replays with: ``"numpy"``
-    (default), ``"jit"`` or ``"auto"``, resolved per format by
+    (default), ``"jit"`` or ``"auto"``, resolved by
     :func:`repro.kernels.backends.resolve_backend`. A JIT plan
-    warm-compiles its loops here so compilation cost is part of the
+    warm-compiles its loop here so compilation cost is part of the
     build, recorded on the plan as ``jit_compile_seconds``.
 
     Raises :class:`~repro.errors.KernelError` for formats without a plan
@@ -390,23 +591,19 @@ def _check_plan_type(matrix: SparseFormat, expected: type) -> None:
 
 
 # ----------------------------------------------------------------------
-# BRO-ELL (and the value-compressed variant, which shares the replay)
+# BRO-ELL family: decoded slices, masked slots dropped
 # ----------------------------------------------------------------------
 def _decode_ell_slice(
     stream_view: np.ndarray, bit_alloc: np.ndarray, h_i: int, sym_len: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized decode of one slice: ``(cols, valid, gather)`` blocks.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized decode of one slice: ``(cols, valid)`` blocks.
 
     ``cols`` is the running column index (``col_idx - 1`` of Algorithm 1,
-    cumulative over deltas), ``valid`` the non-zero-delta mask, and
-    ``gather`` the x-gather index with invalid lanes parked on 0 — exactly
-    the values the stepwise kernel computes column by column.
+    cumulative over deltas) and ``valid`` the non-zero-delta mask —
+    exactly the values the stepwise kernel computes column by column.
     """
     deltas = unpack_slice(stream_view, bit_alloc, h_i, sym_len)
-    valid = deltas != 0
-    cols = np.cumsum(deltas, axis=1) - 1
-    gather = np.where(valid, cols, 0)
-    return cols, valid, gather
+    return np.cumsum(deltas, axis=1) - 1, deltas != 0
 
 
 def _ell_slice_traffic(
@@ -418,7 +615,7 @@ def _ell_slice_traffic(
     device: DeviceSpec,
     tex: TextureCacheModel,
 ) -> Tuple[int, int, int, int]:
-    """Per-slice traffic terms shared by the BRO-ELL and VC planners.
+    """Per-slice traffic terms shared by the BRO-ELL family planners.
 
     Returns ``(idx_tx, warp_valid_cols, x_bytes, decode_ops)``. A fully
     consumed stream costs exactly ``row_stream_symbols`` coalesced loads —
@@ -443,68 +640,8 @@ def _ell_slice_traffic(
     return idx_tx, int(warp_valid.sum()), x_bytes, decode_ops
 
 
-#: One prepared slice: (r0, r1, vals_T, gather_T, valid_T), all (l_i, h_i)
-#: C-contiguous so the replay's per-column accumulation reads rows.
-_EllSlice = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
-
-
-class BROELLPlan(SpMVPlan):
-    """Replay plan for Algorithm 1: gather, mask, accumulate per column."""
-
-    format_name = "bro_ell"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        slices: List[_EllSlice],
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        self._slices = slices
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for r0, r1, vals_t, gather_t, valid_t in self._slices:
-            # Same ops, same order as the stepwise kernel: a masked FMA
-            # per column, accumulated sequentially (not pairwise), so the
-            # result is bit-identical — including the -0.0 and 0*inf
-            # corner cases the np.where masking preserves.
-            prod = np.where(valid_t, vals_t * x[gather_t], 0.0)
-            acc = np.zeros(r1 - r0, dtype=VALUE_DTYPE)
-            for c in range(prod.shape[0]):
-                acc += prod[c]
-            y[r0:r1] = acc
-        return y
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        k = X.shape[1]
-        y = np.zeros((self.matrix.shape[0], k), dtype=VALUE_DTYPE)
-        for r0, r1, vals_t, gather_t, valid_t in self._slices:
-            prod = np.where(
-                valid_t[:, :, None], vals_t[:, :, None] * X[gather_t], 0.0
-            )
-            acc = np.zeros((r1 - r0, k), dtype=VALUE_DTYPE)
-            for c in range(prod.shape[0]):
-                acc += prod[c]
-            y[r0:r1] = acc
-        return y
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for r0, r1, vals_t, gather_t, valid_t in self._slices:
-            _backends.ell_slice_spmv(vals_t, gather_t, valid_t, x, y[r0:r1])
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        y = np.zeros((self.matrix.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        for r0, r1, vals_t, gather_t, valid_t in self._slices:
-            _backends.ell_slice_spmm(vals_t, gather_t, valid_t, X, y[r0:r1])
-        return y
-
-
 @register_planner("bro_ell")
-def _plan_bro_ell(matrix: SparseFormat, device: DeviceSpec) -> BROELLPlan:
+def _plan_bro_ell(matrix: SparseFormat, device: DeviceSpec) -> SpMVPlan:
     _check_plan_type(matrix, BROELLMatrix)
     assert isinstance(matrix, BROELLMatrix)
     m, _ = matrix.shape
@@ -515,14 +652,12 @@ def _plan_bro_ell(matrix: SparseFormat, device: DeviceSpec) -> BROELLPlan:
     val_per_iter = ceil_div(ws * 8, tb)
 
     idx_tx = val_tx = x_bytes = decode_ops = 0
-    slices: List[_EllSlice] = []
+    slots = []
     for r0, r1, bit_alloc, stream_view, val_block in matrix.iter_slices():
         h_i, l_i = val_block.shape
         if l_i == 0:
             continue
-        cols, valid, gather = _decode_ell_slice(
-            stream_view, bit_alloc, h_i, matrix.sym_len
-        )
+        cols, valid = _decode_ell_slice(stream_view, bit_alloc, h_i, matrix.sym_len)
         s_idx_tx, warp_cols, s_x_bytes, s_decode = _ell_slice_traffic(
             cols, valid, bit_alloc, h_i, matrix.sym_len, device, tex
         )
@@ -530,15 +665,7 @@ def _plan_bro_ell(matrix: SparseFormat, device: DeviceSpec) -> BROELLPlan:
         val_tx += warp_cols * val_per_iter
         x_bytes += s_x_bytes
         decode_ops += s_decode
-        slices.append(
-            (
-                r0,
-                r1,
-                np.ascontiguousarray(val_block.T),
-                np.ascontiguousarray(gather.T),
-                np.ascontiguousarray(valid.T),
-            )
-        )
+        slots.append(_block_slots(np.arange(r0, r1), cols, val_block, valid))
 
     counters = KernelCounters(
         index_bytes=idx_tx * tb,
@@ -552,17 +679,11 @@ def _plan_bro_ell(matrix: SparseFormat, device: DeviceSpec) -> BROELLPlan:
         launches=1,
         threads=launch.total_threads,
     )
-    return BROELLPlan(matrix, device, counters, slices)
-
-
-class BROELLVCPlan(BROELLPlan):
-    """Same replay as BRO-ELL; values were decoded once at build time."""
-
-    format_name = "bro_ell_vc"
+    return SpMVPlan(matrix, device, counters, [_lower_slots(slots, m)])
 
 
 @register_planner("bro_ell_vc")
-def _plan_bro_ell_vc(matrix: SparseFormat, device: DeviceSpec) -> BROELLVCPlan:
+def _plan_bro_ell_vc(matrix: SparseFormat, device: DeviceSpec) -> SpMVPlan:
     _check_plan_type(matrix, BROELLVCMatrix)
     assert isinstance(matrix, BROELLVCMatrix)
     m, _ = matrix.shape
@@ -572,7 +693,7 @@ def _plan_bro_ell_vc(matrix: SparseFormat, device: DeviceSpec) -> BROELLVCPlan:
     tex = TextureCacheModel(device)
 
     idx_tx = val_bytes = x_bytes = decode_ops = 0
-    slices: List[_EllSlice] = []
+    slots = []
     for i in range(matrix.num_slices):
         r0 = int(matrix.slice_edges[i])
         r1 = int(matrix.slice_edges[i + 1])
@@ -581,10 +702,9 @@ def _plan_bro_ell_vc(matrix: SparseFormat, device: DeviceSpec) -> BROELLVCPlan:
         if l_i == 0:
             continue
         bit_alloc = matrix.bit_allocs[i]
-        cols, valid, gather = _decode_ell_slice(
+        cols, valid = _decode_ell_slice(
             matrix.stream.slice_view(i), bit_alloc, h_i, matrix.sym_len
         )
-        val_block = matrix.decoded_val_block(i)
         s_idx_tx, warp_cols, s_x_bytes, s_decode = _ell_slice_traffic(
             cols, valid, bit_alloc, h_i, matrix.sym_len, device, tex
         )
@@ -597,14 +717,8 @@ def _plan_bro_ell_vc(matrix: SparseFormat, device: DeviceSpec) -> BROELLVCPlan:
             decode_ops += DECODE_OPS_PER_ITER * h_i * l_i
         x_bytes += s_x_bytes
         decode_ops += s_decode
-        slices.append(
-            (
-                r0,
-                r1,
-                np.ascontiguousarray(val_block.T),
-                np.ascontiguousarray(gather.T),
-                np.ascontiguousarray(valid.T),
-            )
+        slots.append(
+            _block_slots(np.arange(r0, r1), cols, matrix.decoded_val_block(i), valid)
         )
 
     counters = KernelCounters(
@@ -619,47 +733,15 @@ def _plan_bro_ell_vc(matrix: SparseFormat, device: DeviceSpec) -> BROELLVCPlan:
         launches=1,
         threads=launch.total_threads,
     )
-    return BROELLVCPlan(matrix, device, counters, slices)
-
-
-# ----------------------------------------------------------------------
-# BRO-ELL multi-thread-per-row: inner plan + fold
-# ----------------------------------------------------------------------
-class MultiRowBROELLPlan(SpMVPlan):
-    """Inner BRO-ELL plan over the row-split storage plus the fold."""
-
-    format_name = "bro_ell_mt"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        inner_plan: BROELLPlan,
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        self._inner_plan = inner_plan
-
-    def _children(self) -> Tuple[SpMVPlan, ...]:
-        return (self._inner_plan,)
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        inner = self._inner_plan.execute(x)
-        return self.matrix.fold(inner.y)
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        partial = self._inner_plan.execute_many(X).y
-        m = self.matrix.shape[0]
-        t = self.matrix.threads_per_row
-        return partial.reshape(m, t, X.shape[1]).sum(axis=1)
+    return SpMVPlan(matrix, device, counters, [_lower_slots(slots, m)])
 
 
 @register_planner("bro_ell_mt")
-def _plan_bro_ell_mt(matrix: SparseFormat, device: DeviceSpec) -> MultiRowBROELLPlan:
+def _plan_bro_ell_mt(matrix: SparseFormat, device: DeviceSpec) -> SpMVPlan:
     _check_plan_type(matrix, MultiRowBROELL)
     assert isinstance(matrix, MultiRowBROELL)
-    inner_plan = _plan_bro_ell(matrix.inner, device)
-    counters = inner_plan.counters()
+    inner = _plan_bro_ell(matrix.inner, device)
+    counters = inner.counters()
     m = matrix.shape[0]
     t = matrix.threads_per_row
     counters.y_bytes = (
@@ -667,58 +749,60 @@ def _plan_bro_ell_mt(matrix: SparseFormat, device: DeviceSpec) -> MultiRowBROELL
         * device.transaction_bytes
     )
     counters.issued_flops += m * (t - 1)
-    return MultiRowBROELLPlan(matrix, device, counters, inner_plan)
+    return SpMVPlan(
+        matrix, device, counters, inner.parts, lambda ys: matrix.fold(ys[0])
+    )
+
+
+@register_planner("bro_sell")
+def _plan_bro_sell(matrix: SparseFormat, device: DeviceSpec) -> SpMVPlan:
+    _check_plan_type(matrix, BROSELLMatrix)
+    assert isinstance(matrix, BROSELLMatrix)
+    m, _ = matrix.shape
+    launch = LaunchConfig(matrix.c, max(1, matrix.num_chunks))
+    tb = device.transaction_bytes
+    ws = device.warp_size
+    tex = TextureCacheModel(device)
+    val_per_iter = ceil_div(ws * 8, tb)
+
+    idx_tx = val_tx = x_bytes = decode_ops = 0
+    slots = []
+    for r0, r1, bit_alloc, stream_view, val_block in matrix.iter_chunks():
+        h_i, l_i = val_block.shape
+        if l_i == 0:
+            continue
+        cols, valid = _decode_ell_slice(stream_view, bit_alloc, h_i, matrix.sym_len)
+        s_idx_tx, warp_cols, s_x_bytes, s_decode = _ell_slice_traffic(
+            cols, valid, bit_alloc, h_i, matrix.sym_len, device, tex
+        )
+        idx_tx += s_idx_tx
+        val_tx += warp_cols * val_per_iter
+        x_bytes += s_x_bytes
+        decode_ops += s_decode
+        slots.append(_block_slots(matrix.row_ids[r0:r1], cols, val_block, valid))
+
+    counters = KernelCounters(
+        index_bytes=idx_tx * tb,
+        value_bytes=val_tx * tb,
+        x_bytes=x_bytes,
+        y_bytes=contiguous_transactions(m, 8, ws, tb) * tb,
+        aux_bytes=int(matrix.num_col.sum())
+        + 4 * matrix.num_chunks
+        + contiguous_transactions(m, 4, ws, tb) * tb,
+        useful_flops=2 * matrix.nnz,
+        issued_flops=2 * matrix.nnz,
+        decode_ops=decode_ops,
+        launches=1,
+        threads=launch.total_threads,
+    )
+    return SpMVPlan(matrix, device, counters, [_lower_slots(slots, m)])
 
 
 # ----------------------------------------------------------------------
-# BRO-COO: cached decoded rows + vectorized segmented reduction
+# BRO-COO: cached decoded rows, padded lanes kept
 # ----------------------------------------------------------------------
-class BROCOOPlan(SpMVPlan):
-    """Replay: multiply against the cached decoded (padded) row indices."""
-
-    format_name = "bro_coo"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        rows: np.ndarray,
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        self._rows = rows
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        products = self.matrix.vals * x[self.matrix.col_idx]
-        with _span("reduce.segmented", "kernel"):
-            np.add.at(y, self._rows, products)
-        return y
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        y = np.zeros((self.matrix.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        products = self.matrix.vals[:, None] * X[self.matrix.col_idx]
-        with _span("reduce.segmented", "kernel"):
-            np.add.at(y, self._rows, products)
-        return y
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros(mat.shape[0], dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            _backends.coo_scatter_spmv(self._rows, mat.col_idx, mat.vals, x, y)
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros((mat.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            _backends.coo_scatter_spmm(self._rows, mat.col_idx, mat.vals, X, y)
-        return y
-
-
 @register_planner("bro_coo")
-def _plan_bro_coo(matrix: SparseFormat, device: DeviceSpec) -> BROCOOPlan:
+def _plan_bro_coo(matrix: SparseFormat, device: DeviceSpec) -> SpMVPlan:
     _check_plan_type(matrix, BROCOOMatrix)
     assert isinstance(matrix, BROCOOMatrix)
     ws_fmt = matrix.warp_size
@@ -753,116 +837,64 @@ def _plan_bro_coo(matrix: SparseFormat, device: DeviceSpec) -> BROCOOPlan:
     counters.useful_flops = 2 * matrix.nnz
     if matrix.padded_nnz == 0:
         counters.threads = device.warp_size
-    return BROCOOPlan(matrix, device, counters, rows)
+    part = lower(rows, matrix.col_idx, matrix.vals, matrix.shape[0])
+    return SpMVPlan(matrix, device, counters, [part])
 
 
 # ----------------------------------------------------------------------
-# BRO-HYB: composed ELL + COO sub-plans (two launches, like the kernel)
+# Composites: two parts summed (two launches, like the kernels)
 # ----------------------------------------------------------------------
-class BROHYBPlan(SpMVPlan):
-    """Composition of the part plans, mirroring the two-launch kernel."""
-
-    format_name = "bro_hyb"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        ell_plan: Optional[BROELLPlan],
-        coo_plan: Optional[BROCOOPlan],
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        self._ell_plan = ell_plan
-        self._coo_plan = coo_plan
-
-    def _children(self) -> Tuple[SpMVPlan, ...]:
-        return tuple(
-            p for p in (self._ell_plan, self._coo_plan) if p is not None
-        )
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        m = self.matrix.shape[0]
-        if self._ell_plan is not None:
-            y = self._ell_plan.execute(x).y
-        else:
-            y = np.zeros(m)
-        if self._coo_plan is not None:
-            y = y + self._coo_plan.execute(x).y
-        return y
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        m = self.matrix.shape[0]
-        if self._ell_plan is not None:
-            y = self._ell_plan.execute_many(X).y
-        else:
-            y = np.zeros((m, X.shape[1]))
-        if self._coo_plan is not None:
-            y = y + self._coo_plan.execute_many(X).y
-        return y
+def _composite(
+    matrix: SparseFormat,
+    device: DeviceSpec,
+    ell: Optional[SpMVPlan],
+    coo: Optional[SpMVPlan],
+) -> SpMVPlan:
+    """HYB-style plan: ``y = y_ell + y_coo``; an absent part adds zeros."""
+    if ell is not None:
+        counters = ell.counters()
+    else:
+        counters = KernelCounters(launches=0, threads=device.warp_size)
+    if coo is not None:
+        counters = counters + coo.counters()
+    m = matrix.shape[0]
+    parts = [p.parts[0] if p is not None else _lower_slots([], m) for p in (ell, coo)]
+    return SpMVPlan(matrix, device, counters, parts, _add_parts)
 
 
 @register_planner("bro_hyb")
-def _plan_bro_hyb(matrix: SparseFormat, device: DeviceSpec) -> BROHYBPlan:
+def _plan_bro_hyb(matrix: SparseFormat, device: DeviceSpec) -> SpMVPlan:
     _check_plan_type(matrix, BROHYBMatrix)
     assert isinstance(matrix, BROHYBMatrix)
-    ell_plan = _plan_bro_ell(matrix.ell, device) if matrix.ell.nnz else None
-    coo_plan = (
-        _plan_bro_coo(matrix.coo, device) if matrix.coo.padded_nnz else None
+    return _composite(
+        matrix,
+        device,
+        _plan_bro_ell(matrix.ell, device) if matrix.ell.nnz else None,
+        _plan_bro_coo(matrix.coo, device) if matrix.coo.padded_nnz else None,
     )
-    if ell_plan is not None:
-        counters = ell_plan.counters()
-    else:
-        counters = KernelCounters(launches=0, threads=device.warp_size)
-    if coo_plan is not None:
-        counters = counters + coo_plan.counters()
-    return BROHYBPlan(matrix, device, counters, ell_plan, coo_plan)
+
+
+@register_planner("hyb")
+def _plan_hyb(matrix: SparseFormat, device: DeviceSpec) -> SpMVPlan:
+    _check_plan_type(matrix, HYBMatrix)
+    assert isinstance(matrix, HYBMatrix)
+    return _composite(
+        matrix,
+        device,
+        _plan_ellpack(matrix.ell, device) if matrix.ell.k else None,
+        _plan_coo(matrix.coo, device) if matrix.coo.nnz else None,
+    )
 
 
 # ----------------------------------------------------------------------
-# Uncompressed baselines: the functional replay is already one gather
-# away, but the traffic accounting (texture-cache walks over every block
-# or row) dominates the reference call — caching it is the whole win.
+# Uncompressed baselines: the traffic accounting (texture-cache walks over
+# every block or row) dominates the reference call — caching it is the
+# whole win. The counters helpers that live next to the reference kernels
+# (sliced_ell_counters, ellpack_r_counters, ...) keep plan and kernel
+# accounting from drifting apart.
 # ----------------------------------------------------------------------
-class ELLPACKPlan(SpMVPlan):
-    format_name = "ellpack"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        col_idx_t: np.ndarray,
-        vals_t: np.ndarray,
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        #: (k, m) C-contiguous transposes: the replay walks columns, like
-        #: the CUSP kernel's iteration-c grid reads.
-        self._col_idx_t = col_idx_t
-        self._vals_t = vals_t
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        # Column-sequential accumulation — the kernel's loop order (and
-        # the compiled backend's); einsum's SIMD-blocked dot would
-        # reassociate the sum and break backend bit-identity.
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for c in range(self._vals_t.shape[0]):
-            y += self._vals_t[c] * x[self._col_idx_t[c]]
-        return y
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        _backends.ellpack_spmv(self._col_idx_t, self._vals_t, x, y)
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        Y = np.zeros((self.matrix.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        _backends.ellpack_spmm(self._col_idx_t, self._vals_t, X, Y)
-        return Y
-
-
 @register_planner("ellpack")
-def _plan_ellpack(matrix: SparseFormat, device: DeviceSpec) -> ELLPACKPlan:
+def _plan_ellpack(matrix: SparseFormat, device: DeviceSpec) -> SpMVPlan:
     _check_plan_type(matrix, ELLPACKMatrix)
     assert isinstance(matrix, ELLPACKMatrix)
     m, _ = matrix.shape
@@ -894,49 +926,66 @@ def _plan_ellpack(matrix: SparseFormat, device: DeviceSpec) -> ELLPACKPlan:
         launches=1,
         threads=launch.total_threads,
     )
-    return ELLPACKPlan(
-        matrix,
-        device,
-        counters,
-        np.ascontiguousarray(matrix.col_idx.T),
-        np.ascontiguousarray(matrix.vals.T),
-    )
+    part = _lower_slots([_block_slots(np.arange(m), matrix.col_idx, matrix.vals)], m)
+    return SpMVPlan(matrix, device, counters, [part])
 
 
-class COOPlan(SpMVPlan):
-    format_name = "coo"
+@register_planner("ellpack_r")
+def _plan_ellpack_r(matrix: SparseFormat, device: DeviceSpec) -> SpMVPlan:
+    _check_plan_type(matrix, ELLPACKRMatrix)
+    assert isinstance(matrix, ELLPACKRMatrix)
+    m = matrix.shape[0]
+    slots = [
+        _block_slots(np.arange(m), matrix.col_idx, matrix.vals, matrix.valid_mask())
+    ]
+    part = _lower_slots(slots, m)
+    return SpMVPlan(matrix, device, ellpack_r_counters(matrix, device), [part])
 
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros(mat.shape[0], dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            np.add.at(y, mat.row_idx, mat.vals * x[mat.col_idx])
-        return y
 
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros((mat.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            np.add.at(y, mat.row_idx, mat.vals[:, None] * X[mat.col_idx])
-        return y
+@register_planner("sliced_ellpack")
+def _plan_sliced_ell(matrix: SparseFormat, device: DeviceSpec) -> SpMVPlan:
+    _check_plan_type(matrix, SlicedELLPACKMatrix)
+    assert isinstance(matrix, SlicedELLPACKMatrix)
+    slots = [
+        _block_slots(np.arange(r0, r1), col_block, val_block)
+        for r0, r1, col_block, val_block in matrix.iter_slices()
+    ]
+    part = _lower_slots(slots, matrix.shape[0])
+    return SpMVPlan(matrix, device, sliced_ell_counters(matrix, device), [part])
 
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros(mat.shape[0], dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            _backends.coo_scatter_spmv(mat.row_idx, mat.col_idx, mat.vals, x, y)
-        return y
 
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros((mat.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            _backends.coo_scatter_spmm(mat.row_idx, mat.col_idx, mat.vals, X, y)
-        return y
+@register_planner("sell_c_sigma")
+def _plan_sell_c_sigma(matrix: SparseFormat, device: DeviceSpec) -> SpMVPlan:
+    _check_plan_type(matrix, SELLCSigmaMatrix)
+    assert isinstance(matrix, SELLCSigmaMatrix)
+    slots = [
+        _block_slots(matrix.row_ids[r0:r1], col_block, val_block)
+        for r0, r1, col_block, val_block in matrix.iter_chunks()
+    ]
+    part = _lower_slots(slots, matrix.shape[0])
+    return SpMVPlan(matrix, device, sell_counters(matrix, device), [part])
+
+
+@register_planner("bellpack")
+def _plan_bellpack(matrix: SparseFormat, device: DeviceSpec) -> SpMVPlan:
+    _check_plan_type(matrix, BELLPACKMatrix)
+    assert isinstance(matrix, BELLPACKMatrix)
+    m, n = matrix.shape
+    r, c = matrix.block_shape
+    mb, K = matrix.block_col_idx.shape
+    # Thread (block row b, local row rr) walks its K blocks left to right,
+    # c entry columns each: one (mb * r, K * c) block of slots.
+    first = matrix.block_col_idx.astype(np.int64) * c
+    cols = np.broadcast_to(
+        first[:, None, :, None] + np.arange(c), (mb, r, K, c)
+    ).reshape(mb * r, K * c)[:m]
+    vals = matrix.block_vals.transpose(0, 2, 1, 3).reshape(mb * r, K * c)[:m]
+    part = _lower_slots([_block_slots(np.arange(m), cols, vals, cols < n)], m)
+    return SpMVPlan(matrix, device, bellpack_counters(matrix, device), [part])
 
 
 @register_planner("coo")
-def _plan_coo(matrix: SparseFormat, device: DeviceSpec) -> COOPlan:
+def _plan_coo(matrix: SparseFormat, device: DeviceSpec) -> SpMVPlan:
     _check_plan_type(matrix, COOMatrix)
     assert isinstance(matrix, COOMatrix)
     ws = device.warp_size
@@ -955,47 +1004,20 @@ def _plan_coo(matrix: SparseFormat, device: DeviceSpec) -> COOPlan:
     counters.useful_flops = 2 * matrix.nnz
     if n == 0:
         counters.threads = ws
-    return COOPlan(matrix, device, counters)
+    part = lower(matrix.row_idx, matrix.col_idx, matrix.vals, matrix.shape[0])
+    return SpMVPlan(matrix, device, counters, [part])
 
 
-class CSRPlan(SpMVPlan):
-    format_name = "csr"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        schedule,
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        #: per-position gather schedule for the column-stepped replay.
-        self._schedule = schedule
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        # Row-sequential sums via the column-stepped schedule (matches
-        # the reference kernel and the compiled loop bit-for-bit;
-        # CSRMatrix.spmv's reduceat would reassociate long rows).
-        mat = self.matrix
-        return _backends.csr_spmv_columns(
-            mat.indices, mat.vals, x, self._schedule, mat.shape[0]
-        )
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.empty(mat.shape[0], dtype=VALUE_DTYPE)
-        _backends.csr_spmv(mat.indptr, mat.indices, mat.vals, x, y)
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        Y = np.empty((mat.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        _backends.csr_spmm(mat.indptr, mat.indices, mat.vals, X, Y)
-        return Y
+@register_planner("cmrs")
+def _plan_cmrs(matrix: SparseFormat, device: DeviceSpec) -> SpMVPlan:
+    _check_plan_type(matrix, CMRSMatrix)
+    assert isinstance(matrix, CMRSMatrix)
+    part = lower(matrix.entry_rows(), matrix.col_idx, matrix.vals, matrix.shape[0])
+    return SpMVPlan(matrix, device, cmrs_counters(matrix, device), [part])
 
 
 @register_planner("csr")
-def _plan_csr(matrix: SparseFormat, device: DeviceSpec) -> CSRPlan:
+def _plan_csr(matrix: SparseFormat, device: DeviceSpec) -> SpMVPlan:
     _check_plan_type(matrix, CSRMatrix)
     assert isinstance(matrix, CSRMatrix)
     m, _ = matrix.shape
@@ -1041,531 +1063,5 @@ def _plan_csr(matrix: SparseFormat, device: DeviceSpec) -> CSRPlan:
         launches=1,
         threads=launch.total_threads,
     )
-    return CSRPlan(
-        matrix, device, counters, _backends.csr_column_schedule(matrix.indptr)
-    )
-
-
-# ----------------------------------------------------------------------
-# Sliced ELLPACK / ELLPACK-R: ELL-style replays over cached transposes.
-# The counters helpers live next to the reference kernels
-# (sliced_ell_counters, ellpack_r_counters, ...) so plan and kernel
-# accounting can never drift apart.
-# ----------------------------------------------------------------------
-class SlicedELLPlan(SpMVPlan):
-    """Per-slice unmasked column accumulation over cached transposes."""
-
-    format_name = "sliced_ellpack"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        slices: List[Tuple[int, int, np.ndarray, np.ndarray]],
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        #: (r0, r1, cols_T, vals_T) with (l_i, h_i) C-contiguous blocks.
-        self._slices = slices
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for r0, r1, cols_t, vals_t in self._slices:
-            prod = vals_t * x[cols_t]
-            acc = np.zeros(r1 - r0, dtype=VALUE_DTYPE)
-            for c in range(prod.shape[0]):
-                acc += prod[c]
-            y[r0:r1] = acc
-        return y
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        k = X.shape[1]
-        y = np.zeros((self.matrix.shape[0], k), dtype=VALUE_DTYPE)
-        for r0, r1, cols_t, vals_t in self._slices:
-            prod = vals_t[:, :, None] * X[cols_t]
-            acc = np.zeros((r1 - r0, k), dtype=VALUE_DTYPE)
-            for c in range(prod.shape[0]):
-                acc += prod[c]
-            y[r0:r1] = acc
-        return y
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for r0, r1, cols_t, vals_t in self._slices:
-            _backends.ellpack_spmv(cols_t, vals_t, x, y[r0:r1])
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        y = np.zeros((self.matrix.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        for r0, r1, cols_t, vals_t in self._slices:
-            _backends.ellpack_spmm(cols_t, vals_t, X, y[r0:r1])
-        return y
-
-
-@register_planner("sliced_ellpack")
-def _plan_sliced_ell(matrix: SparseFormat, device: DeviceSpec) -> SlicedELLPlan:
-    _check_plan_type(matrix, SlicedELLPACKMatrix)
-    assert isinstance(matrix, SlicedELLPACKMatrix)
-    slices: List[Tuple[int, int, np.ndarray, np.ndarray]] = []
-    for r0, r1, col_block, val_block in matrix.iter_slices():
-        if col_block.shape[1] == 0:
-            continue
-        slices.append(
-            (
-                r0,
-                r1,
-                np.ascontiguousarray(col_block.T),
-                np.ascontiguousarray(val_block.T),
-            )
-        )
-    return SlicedELLPlan(
-        matrix, device, sliced_ell_counters(matrix, device), slices
-    )
-
-
-class ELLPACKRPlan(SpMVPlan):
-    """Masked column accumulation over cached (k, m) transposes."""
-
-    format_name = "ellpack_r"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        col_idx_t: np.ndarray,
-        vals_t: np.ndarray,
-        mask_t: np.ndarray,
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        self._col_idx_t = col_idx_t
-        self._vals_t = vals_t
-        self._mask_t = mask_t
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for c in range(self._vals_t.shape[0]):
-            y += np.where(
-                self._mask_t[c], self._vals_t[c] * x[self._col_idx_t[c]], 0.0
-            )
-        return y
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        if self._vals_t.shape[0]:
-            _backends.ell_slice_spmv(
-                self._vals_t, self._col_idx_t, self._mask_t, x, y
-            )
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        Y = np.zeros((self.matrix.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        if self._vals_t.shape[0]:
-            _backends.ell_slice_spmm(
-                self._vals_t, self._col_idx_t, self._mask_t, X, Y
-            )
-        return Y
-
-
-@register_planner("ellpack_r")
-def _plan_ellpack_r(matrix: SparseFormat, device: DeviceSpec) -> ELLPACKRPlan:
-    _check_plan_type(matrix, ELLPACKRMatrix)
-    assert isinstance(matrix, ELLPACKRMatrix)
-    return ELLPACKRPlan(
-        matrix,
-        device,
-        ellpack_r_counters(matrix, device),
-        np.ascontiguousarray(matrix.col_idx.T),
-        np.ascontiguousarray(matrix.vals.T),
-        np.ascontiguousarray(matrix.valid_mask().T),
-    )
-
-
-# ----------------------------------------------------------------------
-# HYB: composed ELLPACK + COO sub-plans (two launches, like the kernel)
-# ----------------------------------------------------------------------
-class HYBPlan(SpMVPlan):
-    """Composition of the part plans, mirroring the two-launch kernel."""
-
-    format_name = "hyb"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        ell_plan: Optional[ELLPACKPlan],
-        coo_plan: Optional[COOPlan],
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        self._ell_plan = ell_plan
-        self._coo_plan = coo_plan
-
-    def _children(self) -> Tuple[SpMVPlan, ...]:
-        return tuple(
-            p for p in (self._ell_plan, self._coo_plan) if p is not None
-        )
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        m = self.matrix.shape[0]
-        if self._ell_plan is not None:
-            y = self._ell_plan.execute(x).y
-        else:
-            y = np.zeros(m)
-        if self._coo_plan is not None:
-            y = y + self._coo_plan.execute(x).y
-        return y
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        m = self.matrix.shape[0]
-        if self._ell_plan is not None:
-            y = self._ell_plan.execute_many(X).y
-        else:
-            y = np.zeros((m, X.shape[1]))
-        if self._coo_plan is not None:
-            y = y + self._coo_plan.execute_many(X).y
-        return y
-
-
-@register_planner("hyb")
-def _plan_hyb(matrix: SparseFormat, device: DeviceSpec) -> HYBPlan:
-    _check_plan_type(matrix, HYBMatrix)
-    assert isinstance(matrix, HYBMatrix)
-    ell_plan = _plan_ellpack(matrix.ell, device) if matrix.ell.k else None
-    coo_plan = _plan_coo(matrix.coo, device) if matrix.coo.nnz else None
-    if ell_plan is not None:
-        counters = ell_plan.counters()
-    else:
-        counters = KernelCounters(launches=0, threads=device.warp_size)
-    if coo_plan is not None:
-        counters = counters + coo_plan.counters()
-    return HYBPlan(matrix, device, counters, ell_plan, coo_plan)
-
-
-# ----------------------------------------------------------------------
-# BELLPACK: cached block tables + padded-x register accumulation
-# ----------------------------------------------------------------------
-class BELLPACKPlan(SpMVPlan):
-    format_name = "bellpack"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        bcol: np.ndarray,
-        bvals: np.ndarray,
-        n_pad: int,
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        #: (mb, K) int64 block columns and (mb, K, r, c) values.
-        self._bcol = bcol
-        self._bvals = bvals
-        self._n_pad = n_pad
-
-    def _pad_x(self, x: np.ndarray) -> np.ndarray:
-        x_pad = np.zeros(self._n_pad, dtype=VALUE_DTYPE)
-        x_pad[: x.shape[0]] = x
-        return x_pad
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        m = self.matrix.shape[0]
-        mb, K, r, c = self._bvals.shape
-        x_pad = self._pad_x(x)
-        acc = np.zeros((mb, r), dtype=VALUE_DTYPE)
-        for k in range(K):
-            base = self._bcol[:, k] * c
-            for cc in range(c):
-                acc += self._bvals[:, k, :, cc] * x_pad[base + cc][:, None]
-        return acc.reshape(-1)[:m]
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        m = self.matrix.shape[0]
-        mb, K, r, c = self._bvals.shape
-        X_pad = np.zeros((self._n_pad, X.shape[1]), dtype=VALUE_DTYPE)
-        X_pad[: X.shape[0]] = X
-        acc = np.zeros((mb, r, X.shape[1]), dtype=VALUE_DTYPE)
-        for k in range(K):
-            base = self._bcol[:, k] * c
-            for cc in range(c):
-                acc += (
-                    self._bvals[:, k, :, cc][:, :, None]
-                    * X_pad[base + cc][:, None, :]
-                )
-        return acc.reshape(mb * r, -1)[:m]
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        m = self.matrix.shape[0]
-        mb, _K, r, _c = self._bvals.shape
-        y_blocks = np.empty((mb, r), dtype=VALUE_DTYPE)
-        _backends.bellpack_spmv(self._bcol, self._bvals, self._pad_x(x), y_blocks)
-        return y_blocks.reshape(-1)[:m]
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        m = self.matrix.shape[0]
-        mb, _K, r, _c = self._bvals.shape
-        X_pad = np.zeros((self._n_pad, X.shape[1]), dtype=VALUE_DTYPE)
-        X_pad[: X.shape[0]] = X
-        Y_blocks = np.empty((mb, r, X.shape[1]), dtype=VALUE_DTYPE)
-        _backends.bellpack_spmm(self._bcol, self._bvals, X_pad, Y_blocks)
-        return Y_blocks.reshape(mb * r, -1)[:m]
-
-
-@register_planner("bellpack")
-def _plan_bellpack(matrix: SparseFormat, device: DeviceSpec) -> BELLPACKPlan:
-    _check_plan_type(matrix, BELLPACKMatrix)
-    assert isinstance(matrix, BELLPACKMatrix)
-    _r, c = matrix.block_shape
-    n_pad = ceil_div(matrix.shape[1], c) * c
-    return BELLPACKPlan(
-        matrix,
-        device,
-        bellpack_counters(matrix, device),
-        np.ascontiguousarray(matrix.block_col_idx.astype(np.int64)),
-        np.ascontiguousarray(matrix.block_vals),
-        n_pad,
-    )
-
-
-# ----------------------------------------------------------------------
-# SELL-C-σ family: chunked ELL replays + permutation scatter
-# ----------------------------------------------------------------------
-class SELLCSigmaPlan(SpMVPlan):
-    """Unmasked chunk accumulation scattered through ``row_ids``."""
-
-    format_name = "sell_c_sigma"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        chunks: List[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]],
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        #: (r0, r1, cols_T, vals_T, ids) per non-empty chunk.
-        self._chunks = chunks
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for r0, r1, cols_t, vals_t, ids in self._chunks:
-            prod = vals_t * x[cols_t]
-            acc = np.zeros(r1 - r0, dtype=VALUE_DTYPE)
-            for c in range(prod.shape[0]):
-                acc += prod[c]
-            y[ids] = acc
-        return y
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        k = X.shape[1]
-        y = np.zeros((self.matrix.shape[0], k), dtype=VALUE_DTYPE)
-        for r0, r1, cols_t, vals_t, ids in self._chunks:
-            prod = vals_t[:, :, None] * X[cols_t]
-            acc = np.zeros((r1 - r0, k), dtype=VALUE_DTYPE)
-            for c in range(prod.shape[0]):
-                acc += prod[c]
-            y[ids] = acc
-        return y
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for r0, r1, cols_t, vals_t, ids in self._chunks:
-            tmp = np.empty(r1 - r0, dtype=VALUE_DTYPE)
-            _backends.ellpack_spmv(cols_t, vals_t, x, tmp)
-            y[ids] = tmp
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        y = np.zeros((self.matrix.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        for r0, r1, cols_t, vals_t, ids in self._chunks:
-            tmp = np.empty((r1 - r0, X.shape[1]), dtype=VALUE_DTYPE)
-            _backends.ellpack_spmm(cols_t, vals_t, X, tmp)
-            y[ids] = tmp
-        return y
-
-
-@register_planner("sell_c_sigma")
-def _plan_sell_c_sigma(matrix: SparseFormat, device: DeviceSpec) -> SELLCSigmaPlan:
-    _check_plan_type(matrix, SELLCSigmaMatrix)
-    assert isinstance(matrix, SELLCSigmaMatrix)
-    chunks: List[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]] = []
-    for r0, r1, col_block, val_block in matrix.iter_chunks():
-        if col_block.shape[1] == 0:
-            continue
-        chunks.append(
-            (
-                r0,
-                r1,
-                np.ascontiguousarray(col_block.T),
-                np.ascontiguousarray(val_block.T),
-                np.ascontiguousarray(matrix.row_ids[r0:r1]),
-            )
-        )
-    return SELLCSigmaPlan(matrix, device, sell_counters(matrix, device), chunks)
-
-
-class BROSELLPlan(SpMVPlan):
-    """BRO-ELL's masked replay over sorted chunks + permutation scatter."""
-
-    format_name = "bro_sell"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        chunks: List[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        #: (r0, r1, vals_T, gather_T, valid_T, ids) per non-empty chunk.
-        self._chunks = chunks
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for r0, r1, vals_t, gather_t, valid_t, ids in self._chunks:
-            prod = np.where(valid_t, vals_t * x[gather_t], 0.0)
-            acc = np.zeros(r1 - r0, dtype=VALUE_DTYPE)
-            for c in range(prod.shape[0]):
-                acc += prod[c]
-            y[ids] = acc
-        return y
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        k = X.shape[1]
-        y = np.zeros((self.matrix.shape[0], k), dtype=VALUE_DTYPE)
-        for r0, r1, vals_t, gather_t, valid_t, ids in self._chunks:
-            prod = np.where(
-                valid_t[:, :, None], vals_t[:, :, None] * X[gather_t], 0.0
-            )
-            acc = np.zeros((r1 - r0, k), dtype=VALUE_DTYPE)
-            for c in range(prod.shape[0]):
-                acc += prod[c]
-            y[ids] = acc
-        return y
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.matrix.shape[0], dtype=VALUE_DTYPE)
-        for r0, r1, vals_t, gather_t, valid_t, ids in self._chunks:
-            tmp = np.empty(r1 - r0, dtype=VALUE_DTYPE)
-            _backends.ell_slice_spmv(vals_t, gather_t, valid_t, x, tmp)
-            y[ids] = tmp
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        y = np.zeros((self.matrix.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        for r0, r1, vals_t, gather_t, valid_t, ids in self._chunks:
-            tmp = np.empty((r1 - r0, X.shape[1]), dtype=VALUE_DTYPE)
-            _backends.ell_slice_spmm(vals_t, gather_t, valid_t, X, tmp)
-            y[ids] = tmp
-        return y
-
-
-@register_planner("bro_sell")
-def _plan_bro_sell(matrix: SparseFormat, device: DeviceSpec) -> BROSELLPlan:
-    _check_plan_type(matrix, BROSELLMatrix)
-    assert isinstance(matrix, BROSELLMatrix)
-    m, _ = matrix.shape
-    launch = LaunchConfig(matrix.c, max(1, matrix.num_chunks))
-    tb = device.transaction_bytes
-    ws = device.warp_size
-    tex = TextureCacheModel(device)
-    val_per_iter = ceil_div(ws * 8, tb)
-
-    idx_tx = val_tx = x_bytes = decode_ops = 0
-    chunks: List[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    for r0, r1, bit_alloc, stream_view, val_block in matrix.iter_chunks():
-        h_i, l_i = val_block.shape
-        if l_i == 0:
-            continue
-        cols, valid, gather = _decode_ell_slice(
-            stream_view, bit_alloc, h_i, matrix.sym_len
-        )
-        s_idx_tx, warp_cols, s_x_bytes, s_decode = _ell_slice_traffic(
-            cols, valid, bit_alloc, h_i, matrix.sym_len, device, tex
-        )
-        idx_tx += s_idx_tx
-        val_tx += warp_cols * val_per_iter
-        x_bytes += s_x_bytes
-        decode_ops += s_decode
-        chunks.append(
-            (
-                r0,
-                r1,
-                np.ascontiguousarray(val_block.T),
-                np.ascontiguousarray(gather.T),
-                np.ascontiguousarray(valid.T),
-                np.ascontiguousarray(matrix.row_ids[r0:r1]),
-            )
-        )
-
-    counters = KernelCounters(
-        index_bytes=idx_tx * tb,
-        value_bytes=val_tx * tb,
-        x_bytes=x_bytes,
-        y_bytes=contiguous_transactions(m, 8, ws, tb) * tb,
-        aux_bytes=int(matrix.num_col.sum())
-        + 4 * matrix.num_chunks
-        + contiguous_transactions(m, 4, ws, tb) * tb,
-        useful_flops=2 * matrix.nnz,
-        issued_flops=2 * matrix.nnz,
-        decode_ops=decode_ops,
-        launches=1,
-        threads=launch.total_threads,
-    )
-    return BROSELLPlan(matrix, device, counters, chunks)
-
-
-# ----------------------------------------------------------------------
-# CMRS: cached reconstructed rows + segmented scatter
-# ----------------------------------------------------------------------
-class CMRSPlan(SpMVPlan):
-    """Entry-ordered scatter against the cached reconstructed rows."""
-
-    format_name = "cmrs"
-
-    def __init__(
-        self,
-        matrix: SparseFormat,
-        device: DeviceSpec,
-        counters: KernelCounters,
-        rows: np.ndarray,
-    ) -> None:
-        super().__init__(matrix, device, counters)
-        self._rows = rows
-
-    def _replay_numpy(self, x: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros(mat.shape[0], dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            np.add.at(y, self._rows, mat.vals * x[mat.col_idx])
-        return y
-
-    def _replay_many_numpy(self, X: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros((mat.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            np.add.at(y, self._rows, mat.vals[:, None] * X[mat.col_idx])
-        return y
-
-    def _replay_jit(self, x: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros(mat.shape[0], dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            _backends.coo_scatter_spmv(self._rows, mat.col_idx, mat.vals, x, y)
-        return y
-
-    def _replay_many_jit(self, X: np.ndarray) -> np.ndarray:
-        mat = self.matrix
-        y = np.zeros((mat.shape[0], X.shape[1]), dtype=VALUE_DTYPE)
-        with _span("reduce.segmented", "kernel"):
-            _backends.coo_scatter_spmm(self._rows, mat.col_idx, mat.vals, X, y)
-        return y
-
-
-@register_planner("cmrs")
-def _plan_cmrs(matrix: SparseFormat, device: DeviceSpec) -> CMRSPlan:
-    _check_plan_type(matrix, CMRSMatrix)
-    assert isinstance(matrix, CMRSMatrix)
-    return CMRSPlan(
-        matrix, device, cmrs_counters(matrix, device), matrix.entry_rows()
-    )
+    part = _lower_rows(lengths, starts, matrix.indices, matrix.vals)
+    return SpMVPlan(matrix, device, counters, [part])

@@ -536,9 +536,9 @@ def record_backend_fallback(format_name: str, reason: str) -> None:
     """An explicit ``compute_backend="jit"`` request served by numpy.
 
     Emitted by :func:`repro.kernels.backends.resolve_backend` when the
-    compiled path is unavailable (Numba missing, or the format has no
-    compiled loops) — the degradation is silent in results but visible
-    here as ``exec.backend_fallback{format=..., reason=...}``.
+    compiled path is unavailable (Numba missing) — the degradation is
+    silent in results but visible here as
+    ``exec.backend_fallback{format=..., reason=...}``.
     """
     reg = _ACTIVE
     if reg is None:

@@ -1,20 +1,18 @@
-"""The pluggable executor-backend layer (PR 8 tentpole).
+"""The executor-backend layer of the lowered plan executor.
 
 Three contracts, in order of importance:
 
-* **bit-identity** — for every compiled format, suite matrix and symbol
+* **bit-identity** — for every plannable format, suite matrix and symbol
   length, the ``"jit"`` replay produces the same ``y`` bits and the same
-  :class:`KernelCounters` as the ``"numpy"`` replay. On this Numba-free
-  host the compiled aliases *are* the pure-Python twins, so forcing
-  ``set_backend("jit")`` drives the exact loops Numba would compile.
+  :class:`KernelCounters` as the ``"numpy"`` replay. On a Numba-free
+  host the compiled loop *is* its pure-Python twin, so forcing
+  ``set_backend("jit")`` drives the exact loop Numba would compile.
 * **graceful resolution** — ``resolve_backend`` maps policy requests to
   concrete backends: ``"auto"`` degrades silently, an explicit ``"jit"``
   that cannot be honoured degrades with an ``exec.backend_fallback``
   counter, and nothing ever raises for a missing Numba.
-* **plan wiring** — ``set_backend`` recurses through composite plans'
-  ``_children()``, ``warm_compile`` records ``jit_compile_seconds`` at
-  prepare() time, and legacy plans that override ``_replay`` directly
-  keep working under any requested backend.
+* **plan wiring** — ``set_backend`` validates its argument and
+  ``warm_compile`` records ``jit_compile_seconds`` at prepare() time.
 """
 
 from functools import lru_cache
@@ -26,7 +24,6 @@ from repro.errors import ValidationError
 from repro.exec.policy import ExecutionPolicy
 from repro.formats.conversion import convert
 from repro.kernels import backends, prepare, run_spmv
-from repro.kernels.plan import SpMVPlan
 from repro.kernels.plancache import PlanCache
 from repro.matrices.suite import generate
 from repro.telemetry import metrics as M
@@ -92,36 +89,19 @@ class TestResolveBackend:
         key = 'exec.backend_fallback{format="bro_ell",reason="numba-missing"}'
         assert reg.snapshot()["counters"][key] == 1
 
-    def test_jit_on_unsupported_format_counts_fallback(self, monkeypatch):
-        monkeypatch.setattr(backends, "jit_available", lambda: True)
-        reg = M.start_collecting(M.MetricsRegistry())
-        try:
-            assert backends.resolve_backend("jit", "bro_ell_rowwise") == "numpy"
-            assert backends.resolve_backend("auto", "bro_ell_rowwise") == "numpy"
-        finally:
-            M.stop_collecting()
-        key = 'exec.backend_fallback{format="bro_ell_rowwise",reason="format-unsupported"}'
-        assert reg.snapshot()["counters"][key] == 1  # auto stays silent
-
     def test_jit_resolves_when_available(self, monkeypatch):
         monkeypatch.setattr(backends, "jit_available", lambda: True)
         assert backends.resolve_backend("jit", "bro_ell") == "jit"
         assert backends.resolve_backend("auto", "csr") == "jit"
-
-    def test_compiled_formats_sorted_and_complete(self):
-        assert backends.compiled_formats() == tuple(sorted(backends.JIT_FORMATS))
-        for fmt in BRO_FORMATS + PLAIN_FORMATS:
-            assert backends.supports_jit(fmt), fmt
-        assert not backends.supports_jit("bro_ell_rowwise")
 
 
 # ----------------------------------------------------------------------
 # Bit-identity: jit replay == numpy replay, bits and counters
 # ----------------------------------------------------------------------
 class TestBitIdentity:
-    """Force ``set_backend("jit")`` so the jit code paths execute even
-    without Numba (the aliases are then the interpreted twins, which pin
-    the exact loop order the compiled functions share)."""
+    """Force ``set_backend("jit")`` so the jit code path executes even
+    without Numba (the loop is then its interpreted twin, which pins the
+    exact loop order the compiled function shares)."""
 
     @pytest.mark.parametrize("name", SUITE)
     @pytest.mark.parametrize("sym_len", [32, 64])
@@ -164,19 +144,9 @@ class TestBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# Plan wiring: set_backend recursion, warm_compile, prepare() integration
+# Plan wiring: set_backend, warm_compile, prepare() integration
 # ----------------------------------------------------------------------
 class TestPlanWiring:
-    def test_set_backend_recurses_into_children(self):
-        plan = prepare(suite_mat("dense2", "bro_hyb", 32), "k20")
-        children = plan._children()
-        assert children, "bro_hyb plan should have part plans"
-        plan.set_backend("jit")
-        assert plan.backend == "jit"
-        assert all(c.backend == "jit" for c in children)
-        plan.set_backend("numpy")
-        assert all(c.backend == "numpy" for c in children)
-
     def test_set_backend_rejects_policy_names(self):
         plan = prepare(suite_mat("epb3", "bro_ell", 32), "k20")
         with pytest.raises(ValidationError, match="executor backend"):
@@ -223,24 +193,6 @@ class TestPlanWiring:
         snap = reg.snapshot()["counters"]
         key = f'plan.jit_builds{{device="{plan.device.name}",format="bro_ell"}}'
         assert snap[key] == 1
-
-    def test_legacy_replay_override_ignores_backend(self):
-        """Plans that predate the backend layer override ``_replay``
-        directly; any backend request must leave them untouched."""
-
-        class _LegacyPlan(SpMVPlan):
-            format_name = "legacy"
-
-            def _replay(self, x):
-                return np.zeros(self.matrix.shape[0])
-
-        mat = convert(random_coo(10, 8, density=0.3, seed=0), "csr")
-        donor = prepare(mat, "k20")
-        plan = _LegacyPlan(mat, donor.device, donor.counters())
-        plan.set_backend("jit")
-        assert plan._replay(np.ones(8)).shape == (10,)
-        with pytest.raises(NotImplementedError, match="_replay_numpy"):
-            plan._replay_numpy(np.ones(8))
 
 
 # ----------------------------------------------------------------------

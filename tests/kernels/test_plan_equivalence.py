@@ -134,6 +134,90 @@ class TestSuiteEquivalence:
                 assert ref.counters == fast.counters
 
 
+def _adversarial_coo(case):
+    """Matrices whose row structure stresses the lowered executor."""
+    from repro.formats.coo import COOMatrix
+
+    rng = np.random.default_rng(17)
+    if case == "empty_rows":
+        rows = np.array([0, 0, 3, 3, 3, 7, 9, 9])
+        cols = np.array([0, 5, 1, 2, 6, 4, 0, 7])
+        shape = (12, 8)
+    elif case == "one_heavy_row":
+        # Row 5 holds most of the non-zeros, so it outlives the diagonal
+        # sweep and runs on the executor's tail path.
+        light = rng.integers(0, 40, size=30)
+        rows = np.concatenate([light, np.full(60, 5)])
+        cols = np.concatenate([rng.integers(0, 60, size=30), np.arange(60)])
+        shape = (40, 60)
+    else:  # "n1": a single column
+        rows = np.array([0, 2, 3])
+        cols = np.array([0, 0, 0])
+        shape = (5, 1)
+    vals = rng.standard_normal(rows.size)
+    vals[::4] *= 1e-310  # subnormal stored values
+    # All-positive heavy row: under x = -0.0 every product is -0.0 and
+    # the row must still sum to +0.0.
+    vals[rows == 5] = np.abs(vals[rows == 5])
+    return COOMatrix(rows, cols, vals, shape)
+
+
+#: x entries that defeat a naive reordering: NaN and infinities (0*inf
+#: and inf-inf make NaN), negative zero (an all -0.0 row must sum to
+#: +0.0) and subnormals.
+_SPECIALS = np.array(
+    [np.inf, -np.inf, np.nan, -0.0, 5e-324, -2.5e-310, 1.0, -3.0, 0.0]
+)
+
+
+def _bits(y):
+    """``y`` as ``uint64`` words with every NaN mapped to one pattern.
+
+    Every other bit pattern — signed zeros, infinities, subnormals — is
+    compared exactly. Which NaN a NaN + NaN sum returns is not a property
+    of the summation order: NumPy's add keeps the first operand's NaN in
+    full SIMD blocks and the second's in the remainder lanes, so the same
+    sums in the same order differ in the NaN sign with the array length.
+    """
+    y = np.where(np.isnan(y), np.nan, y)
+    return y.view(np.uint64)
+
+
+def _adversarial_X(n, k):
+    return np.stack(
+        [np.resize(np.roll(_SPECIALS, 3 * j), n) for j in range(k)], axis=1
+    )
+
+
+class TestAdversarialInputs:
+    """Bit identity (NaN payloads and zero signs included, compared as
+    ``uint64``) on inputs the finite random sweeps never produce."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "jit_python"])
+    @pytest.mark.parametrize("case", ["empty_rows", "one_heavy_row", "n1"])
+    @pytest.mark.parametrize("fmt", BRO_FORMATS + BASELINE_FORMATS)
+    def test_special_values_bit_identical(self, fmt, case, backend, monkeypatch):
+        from repro.kernels import backends
+
+        kwargs = {"h": 4} if fmt in ("bro_ell", "bro_hyb") else {}
+        mat = convert(_adversarial_coo(case), fmt, **kwargs)
+        plan = prepare(mat, "k20")
+        if backend == "jit_python":
+            monkeypatch.setattr(backends, "jagged_spmm", backends.jagged_spmm_py)
+            plan.set_backend("jit")
+        n = mat.shape[1]
+        xs = [np.resize(np.roll(_SPECIALS, s), n) for s in range(len(_SPECIALS))]
+        for i, x in enumerate(xs + [np.full(n, -0.0)]):
+            ref = run_spmv(mat, x, "k20", policy=_REF).y
+            fast = plan.execute(x).y
+            assert np.array_equal(_bits(ref), _bits(fast)), (fmt, case, i)
+        X = _adversarial_X(n, 3)
+        Y = plan.execute_many(X).y
+        for j in range(3):
+            ref = run_spmv(mat, X[:, j], "k20", policy=_REF).y
+            assert np.array_equal(_bits(ref), _bits(Y[:, j])), (fmt, case, j)
+
+
 class TestDispatchEngines:
     def test_run_spmv_engine_fast_equals_reference(self):
         mat = suite_format("epb3", "bro_ell", 32)

@@ -19,7 +19,7 @@ from repro.formats.coo import COOMatrix
 from repro.gpu.counters import KernelCounters
 from repro.integrity.checksums import is_sealed
 from repro.kernels.base import SpMVKernel, SpMVResult
-from repro.kernels.plan import SpMVPlan
+from repro.kernels.plan import SpMVPlan, lower
 from repro.kernels.plancache import PlanCache
 from repro.pipeline import Session
 
@@ -132,20 +132,16 @@ class _ToyKernel(SpMVKernel):
         return SpMVResult(y=matrix.diag * x, counters=counters, device=device)
 
 
-class _ToyPlan(SpMVPlan):
-    format_name = "toy_diag"
-
-    def _replay(self, x):
-        return self.matrix.diag * x
-
-
 def _build_toy_plan(matrix, device):
+    # Row i adds diag[i] * x[i]: one jagged diagonal through the
+    # executor every planned format shares.
     n = matrix.shape[0]
     counters = KernelCounters(
         value_bytes=8 * n, x_bytes=8 * n, y_bytes=8 * n,
         useful_flops=2 * n, issued_flops=2 * n, launches=1, threads=n,
     )
-    return _ToyPlan(matrix, device, counters)
+    idx = np.arange(n)
+    return SpMVPlan(matrix, device, counters, [lower(idx, idx, matrix.diag, n)])
 
 
 def _validate_toy(matrix, deep=False):
@@ -179,9 +175,6 @@ def _make_toy_format():
             "per-diagonal profile", lambda: "   idx      value", _toy_trace_rows
         ),
         tuner=_registry.TunerProfile(candidate=False),
-        # _ToyPlan overrides _replay directly, so it runs unchanged under
-        # any compute_backend — declare the compiled capability covered.
-        compiled=True,
         # The diagonal array is its own (trivial) index encoding; the label
         # only needs to show up in the capability matrix.
         codec="columns",

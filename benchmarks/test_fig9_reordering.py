@@ -6,8 +6,9 @@ zero or slightly negative (paper: about -4%); BAR wins on the majority of
 matrices, though not necessarily on every one (the paper's own BAR loses
 on cant).
 
-Reordering is expensive (AMD especially), so this figure runs at a
-smaller default scale; override with REPRO_BENCH_SCALE.
+The AMD baseline is expensive in pure Python (on Test Set 1 at the
+bench default 0.06 it takes about 115 s, BAR about 5 s), so this figure
+runs at a smaller default scale; override with REPRO_BENCH_SCALE.
 """
 
 import os

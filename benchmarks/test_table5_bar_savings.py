@@ -5,11 +5,11 @@ Shape to hold: BAR adds space savings on top of Table 3's values (paper:
 50.7% because its stencil is already order-invariant).
 """
 
-import os
-
 from conftest import save_table
 
 from repro.bench.experiments import table5_bar_savings
+from repro.bench.harness import bench_scale, cached_matrix
+from repro.core.bro_ell import BROELLMatrix
 
 #: Published Table 5 (eta % after BAR).
 PAPER_TABLE5 = {
@@ -22,13 +22,13 @@ PAPER_TABLE5 = {
 COLUMNS = ["matrix", "eta_before_pct", "eta_after_pct", "eta_after_paper",
            "delta_pp"]
 
-_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", 0.02))
+_SCALE = bench_scale()
 
 
 def test_table5_bar_savings(benchmark):
     rows = table5_bar_savings(scale=_SCALE)
     for row in rows:
-        row["eta_after_paper"] = PAPER_TABLE5[row["matrix"]]
+        row["eta_after_paper"] = PAPER_TABLE5.get(row["matrix"], "")
     save_table("table5_bar_savings", rows, COLUMNS,
                "Table 5: space savings after BAR (measured vs paper)")
 
@@ -42,9 +42,6 @@ def test_table5_bar_savings(benchmark):
     # mc2depi's regular stencil leaves almost nothing for reordering.
     by = {r["matrix"]: r["delta_pp"] for r in rows}
     assert abs(by["mc2depi"]) < 2.0
-
-    from repro.bench.harness import cached_matrix
-    from repro.core.bro_ell import BROELLMatrix
 
     coo = cached_matrix("rim", _SCALE)
     benchmark.pedantic(

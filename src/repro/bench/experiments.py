@@ -344,14 +344,23 @@ def fig9_reordering(
 # ----------------------------------------------------------------------
 # Host wall-clock: prepared-plan engine vs reference engine
 # ----------------------------------------------------------------------
-def _time_repeat(fn, repeats: int) -> float:
-    """Average wall-clock seconds of ``repeats`` calls of ``fn``."""
+def _time_repeat(fn, repeats: int) -> tuple[float, float]:
+    """Median and IQR wall-clock seconds of ``repeats`` calls of ``fn``.
+
+    One untimed call runs first, so first-touch work (lazy caches, page
+    faults of fresh buffers) stays out of the samples; each call is then
+    timed on its own.
+    """
     import time
 
-    t0 = time.perf_counter()
+    fn()
+    samples = []
     for _ in range(repeats):
+        t0 = time.perf_counter()
         fn()
-    return (time.perf_counter() - t0) / repeats
+        samples.append(time.perf_counter() - t0)
+    q1, med, q3 = np.percentile(samples, [25, 50, 75])
+    return float(med), float(q3 - q1)
 
 
 def _spd_system(name: str, scale: float):
@@ -399,6 +408,11 @@ def wallclock_engines(
     is importable, with the warm-compile inside ``build_time_ms``), and
     the :func:`microbench_exec` executor row is appended at the end so
     one report records the whole compiled-path trajectory.
+
+    Each time is the median of per-call samples taken after one untimed
+    warm-up call, and ``fast_iqr_ms`` is the interquartile range of the
+    fast side's samples. A CG sample is a whole solve from an empty plan
+    cache, so it includes the plan build.
     """
     import time
 
@@ -420,10 +434,10 @@ def wallclock_engines(
             X = np.random.default_rng(99).standard_normal((n, spmm_k))
 
             ref_policy = ExecutionPolicy(engine="reference")
-            ref_spmv = _time_repeat(
+            ref_spmv, _ = _time_repeat(
                 lambda: run_spmv(mat, x, device, policy=ref_policy), repeats
             )
-            ref_spmm = _time_repeat(
+            ref_spmm, _ = _time_repeat(
                 lambda: run_spmm(mat, X, device, policy=ref_policy),
                 max(1, repeats // 2),
             )
@@ -433,7 +447,7 @@ def wallclock_engines(
                 plan = prepare(mat, device, backend=backend)
                 build_time = time.perf_counter() - t0
 
-                fast_spmv = _time_repeat(lambda: plan.execute(x), repeats)
+                fast_spmv, spmv_iqr = _time_repeat(lambda: plan.execute(x), repeats)
                 rows.append(
                     {
                         "matrix": name,
@@ -443,11 +457,12 @@ def wallclock_engines(
                         "build_time_ms": 1e3 * build_time,
                         "ref_time_ms": 1e3 * ref_spmv,
                         "fast_time_ms": 1e3 * fast_spmv,
+                        "fast_iqr_ms": 1e3 * spmv_iqr,
                         "speedup": ref_spmv / fast_spmv,
                     }
                 )
 
-                fast_spmm = _time_repeat(
+                fast_spmm, spmm_iqr = _time_repeat(
                     lambda: plan.execute_many(X), max(1, repeats // 2)
                 )
                 rows.append(
@@ -459,6 +474,7 @@ def wallclock_engines(
                         "build_time_ms": 1e3 * build_time,
                         "ref_time_ms": 1e3 * ref_spmm,
                         "fast_time_ms": 1e3 * fast_spmm,
+                        "fast_iqr_ms": 1e3 * spmm_iqr,
                         "speedup": ref_spmm / fast_spmm,
                     }
                 )
@@ -472,24 +488,25 @@ def wallclock_engines(
         spd_mat = convert(spd, formats[0], **kwargs)
         b = np.ones(spd_mat.shape[1])
 
-        op_ref = SimulatedOperator(
-            spd_mat, device, policy=ExecutionPolicy(engine="reference")
-        )
-        t0 = time.perf_counter()
-        conjugate_gradient(op_ref, b, tol=0.0, max_iter=cg_iters)
-        ref_cg = time.perf_counter() - t0
+        def solve(policy: ExecutionPolicy) -> None:
+            op = SimulatedOperator(spd_mat, device, policy=policy)
+            conjugate_gradient(op, b, tol=0.0, max_iter=cg_iters)
 
-        cache = PlanCache()
-        op_fast = SimulatedOperator(
-            spd_mat, device, policy=ExecutionPolicy(plan_cache=cache)
+        cg_repeats = max(1, repeats // 2)
+        ref_cg, _ = _time_repeat(
+            lambda: solve(ExecutionPolicy(engine="reference")), cg_repeats
         )
-        t0 = time.perf_counter()
-        conjugate_gradient(op_fast, b, tol=0.0, max_iter=cg_iters)
-        fast_cg = time.perf_counter() - t0
+        # Every fast solve starts from an empty plan cache, so each sample
+        # includes the plan build its first iteration pays; fetch the last
+        # plan back from its cache to report the build time.
+        caches: List[PlanCache] = []
 
-        # The first fast iteration built the plan (its cost is inside
-        # fast_cg); fetch it back from the cache to report the build time.
-        cg_plan = cache.get_or_build(spd_mat, device)
+        def fast_solve() -> None:
+            caches.append(PlanCache())
+            solve(ExecutionPolicy(plan_cache=caches[-1]))
+
+        fast_cg, cg_iqr = _time_repeat(fast_solve, cg_repeats)
+        cg_plan = caches[-1].get_or_build(spd_mat, device)
         rows.append(
             {
                 "matrix": name,
@@ -499,6 +516,7 @@ def wallclock_engines(
                 "build_time_ms": 1e3 * cg_plan.build_seconds,
                 "ref_time_ms": 1e3 * ref_cg,
                 "fast_time_ms": 1e3 * fast_cg,
+                "fast_iqr_ms": 1e3 * cg_iqr,
                 "speedup": ref_cg / fast_cg,
             }
         )
@@ -546,11 +564,10 @@ def microbench_exec(
     x = rng.standard_normal(m)
 
     plan = prepare(mat, "k20")
-    plan.execute(x)
-    t_numpy = _time_repeat(lambda: plan.execute(x), repeats)
+    t_numpy, _ = _time_repeat(lambda: plan.execute(x), repeats)
     plan.set_backend("jit")
     plan.warm_compile()
-    t_loop = _time_repeat(lambda: plan.execute(x), repeats)
+    t_loop, loop_iqr = _time_repeat(lambda: plan.execute(x), repeats)
     return [
         {
             "matrix": "synthetic",
@@ -559,6 +576,7 @@ def microbench_exec(
             "backend": backend,
             "ref_time_ms": 1e3 * t_numpy,
             "fast_time_ms": 1e3 * t_loop,
+            "fast_iqr_ms": 1e3 * loop_iqr,
             "ratio": t_numpy / t_loop if t_loop > 0 else 0.0,
         }
     ]

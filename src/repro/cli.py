@@ -110,7 +110,7 @@ _EXPERIMENTS = {
     "wallclock": (exp.wallclock_engines, ["matrix", "format", "mode",
                                           "backend", "build_time_ms",
                                           "ref_time_ms", "fast_time_ms",
-                                          "speedup", "ratio"]),
+                                          "fast_iqr_ms", "speedup", "ratio"]),
     "scale": (exp.scale_bench, ["matrix", "devices", "backend", "speedup",
                                 "efficiency", "wallclock_ms", "p50_ms",
                                 "p95_ms", "p99_ms"]),

@@ -18,8 +18,22 @@ bitmap per (cluster, column) — line ``l`` maps to bit ``l mod 1024``.
 Collisions can only *undercount* new lines (they make BAR slightly
 over-eager to group far-apart rows); with h = 256 rows per cluster the
 bitmap is at most quarter-full and the approximation error is marginal.
-The exact objective (:func:`repro.reorder.objective.bar_objective`) is used
-in the test-suite to confirm BAR lowers Eqn. (1) versus the identity order.
+The hashed bitmap is kept, rather than exact distinct-line sets, so that
+permutations stay identical to earlier releases (exact sets would move
+them, and with them the modeled GFLOP/s and bytes of every reordered
+experiment). The exact objective
+(:func:`repro.reorder.objective.bar_objective`) is used in the test-suite
+to confirm BAR lowers Eqn. (1) versus the identity order.
+
+Cost
+----
+BAR works on the matrix's flat per-entry arrays
+(:func:`repro.reorder.objective.bar_entries`), never on a padded
+``(m, K)`` block (``K`` = the longest row): the prep is O(nnz). A row of
+length ``L`` is scored only on the first ``L`` columns of the cluster
+state, so the greedy is O(v·nnz) element work plus a constant number of
+NumPy calls per row. Memory is O(v·K + nnz): the per-column maxima and the
+bitmap (``v × K × 128`` bytes) are the only cluster-wide state.
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ from ..errors import ReorderingError
 from ..formats.coo import COOMatrix
 from ..utils.bits import ceil_div
 from .base import check_permutation
-from .objective import delta_rows_for_bar
+from .objective import bar_entries
 
 __all__ = ["bar_permutation", "BARReordering"]
 
@@ -93,8 +107,9 @@ def bar_reordering(
     if h <= 0 or alpha <= 0 or w <= 0:
         raise ReorderingError("h, alpha and w must be positive")
     m = coo.shape[0]
-    bits, lines, _valid = delta_rows_for_bar(coo)
-    K = bits.shape[1]
+    row_ptr, bits, lines = bar_entries(coo)
+    lengths = np.diff(row_ptr)
+    K = int(lengths.max())
     v = max(1, ceil_div(m, h))
 
     # Capacities sum to m, so the greedy necessarily fills every cluster
@@ -103,7 +118,6 @@ def bar_reordering(
     caps[-1] = m - (v - 1) * h if m > (v - 1) * h else h
 
     # Line 2: sort rows by row length; seeds are spaced h apart.
-    lengths = coo.row_lengths()
     order = np.argsort(-lengths, kind="stable")
     seed_positions = np.arange(v) * h
     seed_positions = seed_positions[seed_positions < m]
@@ -112,58 +126,60 @@ def bar_reordering(
     is_seed[seeds] = True
     rest = order[~is_seed[order]]
 
-    # Cluster state.
-    D = np.zeros((v, K), dtype=np.int64)  # per-column max bit widths
-    Sd = np.zeros(v, dtype=np.int64)  # sum_j d(S, j)
-    bitmap = np.zeros((v, K, _BITMAP_WORDS), dtype=np.uint64)
+    # Each entry's bitmap slot: its column position within the row times
+    # the words per column, plus the word its hashed line falls in.
+    pos = np.arange(bits.size, dtype=np.int64) - np.repeat(row_ptr[:-1], lengths)
+    hashed = lines % _BITMAP_BITS
+    slot = pos * _BITMAP_WORDS + hashed // 64
+    mask = np.left_shift(np.uint64(1), (hashed % 64).astype(np.uint64))
+
+    # Cluster state, column-major so a row of length L reads the first L
+    # rows of D and only its own slots of the bitmap.
+    D = np.zeros((K, v), dtype=np.int64)  # per-column max bit widths
+    Sd_up = np.full(v, alpha - 1, dtype=np.int64)  # sum_j d(S, j) + alpha - 1
+    loads = np.zeros(v, dtype=np.int64)  # ceil(sum_j d(S, j) / alpha)
+    bitmap = np.zeros((K * _BITMAP_WORDS, v), dtype=np.uint64)
     sizes = np.zeros(v, dtype=np.int64)
+    full = np.zeros(v)  # +inf once a cluster reaches its capacity
     assignment = np.empty(m, dtype=np.int64)
+    ptr = row_ptr.tolist()
 
-    col_ar = np.arange(K)
-
-    def insert(t: int, r: int) -> None:
-        row_bits = bits[r]
-        D[t] = np.maximum(D[t], row_bits)
-        Sd[t] = int(D[t].sum())
-        row_lines = lines[r]
-        ok = row_lines >= 0
-        pos = (row_lines[ok] % _BITMAP_BITS).astype(np.int64)
-        words, bit_pos = pos // 64, pos % 64
-        np.bitwise_or.at(
-            bitmap[t], (col_ar[ok], words), np.uint64(1) << bit_pos.astype(np.uint64)
-        )
+    def insert(t: int, r: int, inc: int) -> None:
+        s, e = ptr[r], ptr[r + 1]
+        d = D[: e - s, t]
+        np.maximum(d, bits[s:e], out=d)
+        Sd_up[t] += inc
+        loads[t] = Sd_up[t] // alpha
+        # (column, word) slots are unique within a row: a plain |= is exact.
+        bitmap[slot[s:e], t] |= mask[s:e]
         sizes[t] += 1
+        if sizes[t] == caps[t]:
+            full[t] = np.inf
         assignment[r] = t
 
-    for t, r in enumerate(seeds):  # lines 3-6
-        insert(t, int(r))
+    for t, r in enumerate(seeds.tolist()):  # lines 3-6
+        insert(t, r, int(bits[ptr[r] : ptr[r + 1]].sum()))
 
-    for r in rest:  # lines 7-13
-        row_bits = bits[r]
-        inc = np.maximum(row_bits[np.newaxis, :] - D, 0).sum(axis=1)
+    use_lines = cache_weight > 0.0
+    for r in rest.tolist():  # lines 7-13
+        s, e = ptr[r], ptr[r + 1]
+        inc = np.maximum(bits[s:e, np.newaxis] - D[: e - s], 0).sum(axis=0)
         # ceil((Sd + inc) / alpha) - ceil(Sd / alpha)
-        stream_cost = (Sd + inc + alpha - 1) // alpha - (Sd + alpha - 1) // alpha
-
-        row_lines = lines[r]
-        ok = row_lines >= 0
-        if cache_weight > 0.0 and np.any(ok):
-            pos = (row_lines[ok] % _BITMAP_BITS).astype(np.int64)
-            words, bit_pos = pos // 64, pos % 64
-            present = (
-                bitmap[:, col_ar[ok], words] >> bit_pos.astype(np.uint64)
-            ) & np.uint64(1)
-            new_lines = (present == 0).sum(axis=1)
+        stream_cost = (Sd_up + inc) // alpha - loads
+        if use_lines and e > s:
+            held = bitmap[slot[s:e]]
+            held &= mask[s:e, np.newaxis]
+            cost = cache_weight * (held == 0).sum(axis=0)
+            cost += stream_cost
         else:
-            new_lines = np.zeros(v, dtype=np.int64)
+            cost = stream_cost + 0.0
+        cost += full
+        t = int(np.argmin(cost))
+        insert(t, r, int(inc[t]))
 
-        cost = stream_cost + cache_weight * new_lines
-        cost = np.where(sizes < caps, cost, np.inf)
-        insert(int(np.argmin(cost)), int(r))
-
-    # Clusters in index order become consecutive row blocks (slices).
-    perm = np.concatenate(
-        [np.flatnonzero(assignment == t) for t in range(v)]
-    )
+    # Clusters in index order become consecutive row blocks (slices),
+    # each keeping its rows in ascending order.
+    perm = np.argsort(assignment, kind="stable")
     return BARReordering(
         perm=check_permutation(perm, m), cluster_sizes=sizes.copy(), v=v, h=h
     )

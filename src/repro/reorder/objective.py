@@ -30,26 +30,50 @@ import numpy as np
 from ..errors import ReorderingError
 from ..utils.bits import bit_width_array, ceil_div
 
-__all__ = ["cluster_cost", "bar_objective", "delta_rows_for_bar"]
+__all__ = ["cluster_cost", "bar_objective", "bar_entries", "delta_rows_for_bar"]
+
+#: x-vector entries per cacheline: a 32-byte sector of float64 values.
+_LINE_ENTRIES = 4
+
+
+def bar_entries(coo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-entry data BAR clusters on, in O(nnz).
+
+    Returns ``(row_ptr, delta_bits, col_lines)``: the ``m + 1`` row
+    pointers of the matrix's stored entries (row-major, columns ascending,
+    as :class:`~repro.formats.coo.COOMatrix` keeps them) and, per entry,
+    the Gamma bit width of its 1-based column delta (Section 3.1: the
+    first entry of a row is taken against ``c_{i,-1} = 0``) and the
+    x-cacheline index of its absolute column.
+    """
+    col = coo.col_idx.astype(np.int64)
+    row_ptr = np.zeros(coo.shape[0] + 1, dtype=np.int64)
+    np.cumsum(coo.row_lengths(), out=row_ptr[1:])
+    ones = col + 1
+    deltas = np.diff(ones, prepend=0)
+    starts = row_ptr[:-1][row_ptr[:-1] < row_ptr[1:]]
+    deltas[starts] = ones[starts]
+    return row_ptr, bit_width_array(deltas), col // _LINE_ENTRIES
 
 
 def delta_rows_for_bar(coo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Precompute the per-row data BAR clusters on.
+    """Scatter :func:`bar_entries` into a padded ``(m, k)`` view.
 
-    Returns ``(delta_bits, col_lines, valid)``: ``(m, k)`` arrays holding
-    the Gamma bit width of each delta, the x-cacheline index of each
-    absolute column, and the validity mask. Padding positions carry zero
-    bits and line ``-1``.
+    Returns ``(delta_bits, col_lines, valid)``: ``(m, k)`` arrays with
+    ``k`` the longest row's length, holding the Gamma bit width of each
+    delta, the x-cacheline index of each absolute column, and the
+    validity mask. Padding positions carry zero bits and line ``-1``.
+    This is the shape :func:`bar_objective` scores; BAR itself never
+    builds it.
     """
-    from ..core.delta import delta_encode_columns
-    from ..formats.ellpack import ellpack_arrays_from_coo
-
-    col_idx, _vals, stored = ellpack_arrays_from_coo(coo)
-    k = col_idx.shape[1]
-    valid = np.arange(k)[np.newaxis, :] < stored[:, np.newaxis]
-    deltas = delta_encode_columns(col_idx, valid)
-    bits = np.where(valid, bit_width_array(deltas), 0).astype(np.int64)
-    lines = np.where(valid, col_idx.astype(np.int64) // 4, -1)  # 32B / 8B
+    row_ptr, entry_bits, entry_lines = bar_entries(coo)
+    lengths = np.diff(row_ptr)
+    k = int(lengths.max())
+    valid = np.arange(k)[np.newaxis, :] < lengths[:, np.newaxis]
+    bits = np.zeros(valid.shape, dtype=np.int64)
+    bits[valid] = entry_bits
+    lines = np.full(valid.shape, -1, dtype=np.int64)
+    lines[valid] = entry_lines
     return bits, lines, valid
 
 

@@ -114,3 +114,25 @@ class TestScaleBench:
                     "efficiency"):
             assert metric_direction(col) == 0  # informational only
         assert metric_direction("speedup") == 1
+
+
+class TestWallclock:
+    def test_time_repeat_warms_up_then_takes_the_median(self, monkeypatch):
+        import time
+
+        # Three timed calls of 1, 3 and 2 s after the untimed warm-up.
+        ticks = iter([0.0, 1.0, 1.0, 4.0, 4.0, 6.0])
+        monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
+        calls = []
+        median, iqr = E._time_repeat(lambda: calls.append(None), 3)
+        assert len(calls) == 4
+        assert median == 2.0
+        assert iqr == 1.0  # quartiles 1.5 and 2.5
+
+    def test_every_row_carries_its_spread(self):
+        rows = E.wallclock_engines(scale=0.01, matrices=("epb3",),
+                                   formats=("bro_ell",), repeats=2,
+                                   cg_iters=3)
+        assert {"spmv", "spmm8", "cg3"} <= {r["mode"] for r in rows}
+        for r in rows:
+            assert 0.0 <= r["fast_iqr_ms"] and r["fast_time_ms"] > 0.0
